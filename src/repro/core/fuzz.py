@@ -25,6 +25,8 @@ exact payload the store persists.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -187,6 +189,26 @@ def _scoreboard_snapshot(state) -> List[Tuple[str, int, Optional[int], str]]:
     )
 
 
+def tick_digests(case: FuzzCase) -> Tuple[Optional[str], Optional[str], Optional[str]]:
+    """SHA-256 digests of one case's tick-core outcome, for pinning against a fixture.
+
+    Returns ``(result_digest, scoreboard_digest, error_message)``.  The result
+    digest covers ``to_json()`` serialized in its own key order, so a
+    reordered or reformatted payload changes it just as a changed number
+    would; on a :class:`SimulationError` both digests are ``None`` and the
+    exact error text is returned instead.
+    """
+    result, board, error = case.simulate("tick")
+    if error is not None:
+        return None, None, error
+    return _sha256(result), _sha256(board), None
+
+
+def _sha256(payload) -> str:
+    text = json.dumps(payload, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def generate_case(seed: int) -> FuzzCase:
     """Expand one case seed into a fully-described :class:`FuzzCase`."""
     rng = random.Random(seed)
@@ -287,4 +309,5 @@ __all__ = [
     "generate_case",
     "repro_command",
     "run_case",
+    "tick_digests",
 ]
