@@ -298,7 +298,10 @@ class ClusterWorker:
             worked = False
             for sweep_id in ids or ():
                 manifest = load_manifest(self.store, sweep_id)
-                if not remaining_cells(manifest, self.store):
+                # A worker named for a sweep reports in even when its peers
+                # drained it first, so the sweep's status lists every worker
+                # sent to it; discovery skips drained manifests.
+                if not explicit and not remaining_cells(manifest, self.store):
                     continue
                 worked = True
                 self.run_sweep(sweep_id, manifest=manifest)

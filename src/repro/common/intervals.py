@@ -1,11 +1,13 @@
-"""Busy-interval bookkeeping for event-driven simulation.
+"""Busy-interval bookkeeping for the one-pass simulators.
 
-The reference and decoupled simulators do not step cycle by cycle.  Instead,
-each hardware resource (functional unit, memory port, queue slot) records the
-half-open intervals ``[start, end)`` during which it was occupied.  The
-functions here merge, intersect and measure those intervals so that per-cycle
-statistics — such as the eight-state execution breakdown of Figure 1 — can be
-recovered exactly.
+The reference and decoupled simulators do not step cycle by cycle: their
+tick cores make one pass over the trace, folding each issue cycle out of a
+running ``max``.  Instead of a per-cycle state, each hardware resource
+(functional unit, memory port, queue slot) records the half-open intervals
+``[start, end)`` during which it was occupied.  The functions here merge,
+intersect and measure those intervals so that per-cycle statistics — such as
+the eight-state execution breakdown of Figure 1 — can be recovered exactly,
+in one sweep over the interval endpoints.
 """
 
 from __future__ import annotations
@@ -61,15 +63,18 @@ class IntervalRecorder:
     Intervals are stored as two parallel integer lists — the simulators
     record one per issued instruction, so the hot path is two list appends;
     :class:`Interval` objects are materialized only when intervals are read
-    back.
+    back.  The merged form is computed once and kept until the next
+    :meth:`record`, so a result that asks for both the state breakdown and
+    the busy time merges each resource once.
     """
 
-    __slots__ = ("name", "_starts", "_ends")
+    __slots__ = ("name", "_starts", "_ends", "_merged")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._starts: list[int] = []
         self._ends: list[int] = []
+        self._merged: tuple[tuple[int, int], ...] | None = None
 
     def record(self, start: int, end: int) -> None:
         """Record that the resource was busy over ``[start, end)``.
@@ -81,6 +86,7 @@ class IntervalRecorder:
         if end > start:
             self._starts.append(start)
             self._ends.append(end)
+            self._merged = None
         elif end < start:
             raise SimulationError(
                 f"resource {self.name!r}: busy interval ends ({end}) before it starts ({start})"
@@ -90,6 +96,12 @@ class IntervalRecorder:
         """Record an already-constructed :class:`Interval`."""
         self.record(interval.start, interval.end)
 
+    def record_all(self, other: "IntervalRecorder") -> None:
+        """Record every interval another recorder holds (e.g. one unit of a pool)."""
+        self._starts.extend(other._starts)
+        self._ends.extend(other._ends)
+        self._merged = None
+
     @property
     def raw_intervals(self) -> Sequence[Interval]:
         """The intervals exactly as recorded (possibly overlapping)."""
@@ -98,16 +110,26 @@ class IntervalRecorder:
         )
 
     def merged_pairs(self) -> list[tuple[int, int]]:
-        """The recorded intervals merged into disjoint sorted (start, end) pairs."""
-        merged: list[list[int]] = []
-        for start, end in sorted(zip(self._starts, self._ends)):
-            if merged and start <= merged[-1][1]:
-                tail = merged[-1]
-                if end > tail[1]:
-                    tail[1] = end
-            else:
-                merged.append([start, end])
-        return [(start, end) for start, end in merged]
+        """The recorded intervals merged into disjoint sorted (start, end) pairs.
+
+        Touching intervals merge too, so consecutive pairs are separated by
+        at least one idle cycle.
+        """
+        return list(self._merged_pairs())
+
+    def _merged_pairs(self) -> tuple[tuple[int, int], ...]:
+        merged = self._merged
+        if merged is None:
+            pairs: list[list[int]] = []
+            for start, end in sorted(zip(self._starts, self._ends)):
+                if pairs and start <= pairs[-1][1]:
+                    tail = pairs[-1]
+                    if end > tail[1]:
+                        tail[1] = end
+                else:
+                    pairs.append([start, end])
+            merged = self._merged = tuple((start, end) for start, end in pairs)
+        return merged
 
     def merged(self) -> list[Interval]:
         """Return the recorded intervals merged into disjoint, sorted pieces."""
@@ -115,7 +137,7 @@ class IntervalRecorder:
 
     def busy_time(self) -> int:
         """Total number of distinct cycles during which the resource was busy."""
-        return sum(end - start for start, end in self.merged_pairs())
+        return sum(end - start for start, end in self._merged_pairs())
 
     def busy_at(self, cycle: int) -> bool:
         """Return ``True`` when the resource is busy during ``cycle``."""
@@ -202,38 +224,50 @@ def state_breakdown(
 ) -> StateBreakdown:
     """Partition ``[0, total_cycles)`` by which resources are busy.
 
-    The breakdown is computed with a sweep over the interval endpoints, so its
-    cost is proportional to the number of recorded intervals rather than to
-    the number of cycles simulated.
+    One sweep over the merged interval endpoints: resource ``i`` owns bit
+    ``i`` of a busy mask, every clipped endpoint toggles its bit, and the
+    cycles between consecutive endpoints go to the current mask.  The cost is
+    proportional to the number of recorded intervals rather than to the
+    number of cycles simulated.  Patterns appear in the result in the order
+    the sweep first meets them.
     """
     names = tuple(recorder.name for recorder in recorders)
     result = StateBreakdown(resource_names=names, total_cycles=total_cycles)
     if total_cycles <= 0:
         return result
 
-    merged_per_resource = [recorder.merged_pairs() for recorder in recorders]
-    boundaries = {0, total_cycles}
-    for intervals in merged_per_resource:
-        for interval_start, interval_end in intervals:
-            if interval_start < total_cycles:
-                boundaries.add(interval_start)
-            if interval_end < total_cycles:
-                boundaries.add(interval_end)
-    ordered = sorted(boundaries)
+    # Endpoints encoded as ``cycle << shift | resource`` sort by cycle with
+    # plain integer comparisons.  Merged pairs never touch, so a resource's
+    # bit toggles at most once per cycle.
+    shift = max(len(recorders) - 1, 1).bit_length()
+    low = (1 << shift) - 1
+    endpoints = []
+    for resource, recorder in enumerate(recorders):
+        for start, end in recorder._merged_pairs():
+            if start < 0:
+                start = 0
+            if end > total_cycles:
+                end = total_cycles
+            if start < end:
+                endpoints.append(start << shift | resource)
+                endpoints.append(end << shift | resource)
+    endpoints.sort()
 
-    cursors = [0] * len(recorders)
-    for index, start in enumerate(ordered):
-        end = ordered[index + 1] if index + 1 < len(ordered) else total_cycles
-        if end <= start:
-            continue
-        pattern: list[bool] = []
-        for res_index, intervals in enumerate(merged_per_resource):
-            cursor = cursors[res_index]
-            while cursor < len(intervals) and intervals[cursor][1] <= start:
-                cursor += 1
-            cursors[res_index] = cursor
-            busy = cursor < len(intervals) and intervals[cursor][0] <= start
-            pattern.append(busy)
-        key = tuple(pattern)
-        result.cycles[key] = result.cycles.get(key, 0) + (end - start)
+    counts: dict[int, int] = {}
+    mask = 0
+    previous = 0
+    for endpoint in endpoints:
+        cycle = endpoint >> shift
+        if cycle > previous:
+            counts[mask] = counts.get(mask, 0) + cycle - previous
+            previous = cycle
+        mask ^= 1 << (endpoint & low)
+    if previous < total_cycles:
+        counts[mask] = counts.get(mask, 0) + total_cycles - previous
+
+    bits = range(len(recorders))
+    result.cycles = {
+        tuple(bool(mask >> bit & 1) for bit in bits): cycles
+        for mask, cycles in counts.items()
+    }
     return result

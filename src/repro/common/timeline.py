@@ -3,14 +3,15 @@
 Figure 6 of the paper plots, for each benchmark, how many cycles the AVDQ
 (the vector load data queue) held 0, 1, 2, ... busy slots.  The decoupled
 simulator records one ``(enter, leave)`` pair per queue element; the
-:class:`OccupancyTimeline` sweeps those events to reconstruct the per-cycle
-occupancy histogram without stepping cycles.
+:class:`OccupancyTimeline` sweeps those events once to reconstruct the
+per-cycle occupancy histogram, the peak occupancy and the mean occupancy
+together, without stepping cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.stats import Histogram
@@ -65,29 +66,41 @@ class OccupancyTimeline:
 
     def occupancy_histogram(self, total_cycles: int) -> Histogram:
         """Cycles spent at each occupancy level over ``[0, total_cycles)``."""
-        return _histogram_of_events(self._enters, self._leaves, total_cycles)
+        return self.summary(total_cycles).histogram
 
     def max_occupancy(self) -> int:
         """The largest number of simultaneously-resident elements ever observed."""
-        histogram = self.occupancy_histogram(self._horizon())
-        occupied_levels = [level for level, count in histogram.items() if count > 0]
-        return max(occupied_levels, default=0)
+        return self.summary(0).max_occupancy
 
     def mean_occupancy(self, total_cycles: int) -> float:
         """Time-weighted mean number of busy slots over ``[0, total_cycles)``."""
-        if total_cycles <= 0:
-            return 0.0
-        histogram = self.occupancy_histogram(total_cycles)
-        weighted = sum(level * cycles for level, cycles in histogram.items())
-        return weighted / total_cycles
+        return self.summary(total_cycles).mean_occupancy
 
-    def _horizon(self) -> int:
-        if not self._leaves:
-            return 0
-        return max(self._leaves)
+    def summary(self, total_cycles: int) -> "OccupancySummary":
+        """Histogram, peak and mean occupancy from one sweep over the residencies."""
+        histogram, peak = _sweep(self._enters, self._leaves, total_cycles)
+        mean = 0.0
+        if total_cycles > 0:
+            weighted = sum(level * cycles for level, cycles in histogram.items())
+            mean = weighted / total_cycles
+        return OccupancySummary(histogram, peak, mean)
 
     def __len__(self) -> int:
         return len(self._enters)
+
+
+@dataclass(frozen=True)
+class OccupancySummary:
+    """What one occupancy sweep yields.
+
+    ``histogram`` and ``mean_occupancy`` cover ``[0, total_cycles)``;
+    ``max_occupancy`` is the peak over the queue's whole lifetime, however
+    long, as :meth:`OccupancyTimeline.max_occupancy` defines it.
+    """
+
+    histogram: Histogram
+    max_occupancy: int
+    mean_occupancy: float
 
 
 def occupancy_histogram(
@@ -103,41 +116,43 @@ def occupancy_histogram(
     for residency in residencies:
         enters.append(residency.enter)
         leaves.append(residency.leave)
-    return _histogram_of_events(enters, leaves, total_cycles)
+    return _sweep(enters, leaves, total_cycles)[0]
 
 
-def _histogram_of_events(
+def _sweep(
     enters: list[int], leaves: list[int], total_cycles: int
-) -> Histogram:
-    """The occupancy sweep over parallel enter/leave lists."""
-    histogram = Histogram()
-    if total_cycles <= 0:
-        return histogram
+) -> Tuple[Histogram, int]:
+    """One pass over the residency events: ``(histogram, peak occupancy)``.
 
-    events: list[tuple[int, int]] = []
-    for enter, leave in zip(enters, leaves):
-        start = enter if enter < total_cycles else total_cycles
-        end = leave if leave < total_cycles else total_cycles
-        if end > start:
-            events.append((start, +1))
-            events.append((end, -1))
-
-    if not events:
-        histogram.add(0, total_cycles)
-        return histogram
-
+    Events are encoded as ``cycle << 1 | entering`` so they sort as plain
+    integers; every event of one cycle is applied before the next gap is
+    counted.  Gaps are clipped to ``[0, total_cycles)`` for the histogram;
+    the peak is the highest level held for at least one cycle from cycle 0
+    on, whatever ``total_cycles`` is.  Cycles after the last departure count
+    at occupancy zero, so the histogram always sums to ``total_cycles``.
+    """
+    events = [enter << 1 | 1 for enter in enters]
+    events.extend(leave << 1 for leave in leaves)
     events.sort()
+
+    counts: dict[int, int] = {}
     level = 0
-    previous_time = 0
-    index = 0
-    while index < len(events):
-        time = events[index][0]
-        if time > previous_time:
-            histogram.add(level, time - previous_time)
-            previous_time = time
-        while index < len(events) and events[index][0] == time:
-            level += events[index][1]
-            index += 1
-    if previous_time < total_cycles:
-        histogram.add(level, total_cycles - previous_time)
-    return histogram
+    peak = 0
+    previous = 0
+    for event in events:
+        cycle = event >> 1
+        if cycle > previous:
+            if level > peak:
+                peak = level
+            end = cycle if cycle < total_cycles else total_cycles
+            if end > previous:
+                counts[level] = counts.get(level, 0) + end - previous
+            previous = cycle
+        level += 1 if event & 1 else -1
+    if previous < total_cycles:
+        counts[level] = counts.get(level, 0) + total_cycles - previous
+
+    histogram = Histogram()
+    for occupancy, cycles in counts.items():
+        histogram.add(occupancy, cycles)
+    return histogram, peak

@@ -36,17 +36,19 @@ from repro.dva.queues import TimedQueue
 from repro.engine import MemoryFabric, ResourcePool
 from repro.isa.registers import ELEMENT_SIZE_BYTES
 from repro.memory.model import MemoryModel
-from repro.memory.ranges import MemoryRange, access_range
+from repro.memory.ranges import access_bounds
 from repro.memory.scalar_cache import ScalarCache
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingStore:
     """A store whose address sits in a store queue awaiting its data.
 
     The store is described entirely by scalars captured at enqueue time:
     ``key`` identifies the dynamic record (its trace position), ``length`` is
-    the *effective* vector length (1 for scalar stores) and ``bus_cycles`` /
+    the *effective* vector length (1 for scalar stores), ``low``/``high`` are
+    the byte bounds of :func:`~repro.memory.ranges.access_bounds` that
+    disambiguation checks loads against, and ``bus_cycles`` /
     ``traffic_bytes`` are the port occupancy and memory traffic the store
     will cost when it drains.
     """
@@ -56,7 +58,8 @@ class PendingStore:
     length: int
     stride_elements: int
     indexed: bool
-    memory_range: MemoryRange
+    low: float
+    high: float
     is_vector: bool
     bus_cycles: int
     traffic_bytes: int
@@ -77,15 +80,6 @@ class PendingStore:
                 f"be simulated before the store can be performed"
             )
         return max(self.address_ready, self.data_ready)
-
-
-@dataclass
-class VectorLoadOutcome:
-    """How one vector load was serviced."""
-
-    start: int
-    data_ready: int
-    bypassed: bool
 
 
 class MemoryPipeline:
@@ -170,21 +164,21 @@ class MemoryPipeline:
         """Put a vector store's address into the VSAQ; return the push cycle."""
         self._make_room(self.vsaq)
         push_time = self.vsaq.push(requested)
+        low, high = access_bounds(base, vector_length, stride_elements, indexed=indexed)
         self.pending_stores.append(
             PendingStore(
-                key=key,
-                base=base,
-                length=vector_length,
-                stride_elements=stride_elements,
-                indexed=indexed,
-                memory_range=access_range(
-                    base, vector_length, stride_elements, indexed=indexed
-                ),
-                is_vector=True,
-                bus_cycles=self.memory.vector_bus_cycles(vector_length),
-                traffic_bytes=vector_length * ELEMENT_SIZE_BYTES,
-                address_queue_index=self.vsaq.last_index,
-                address_ready=push_time + 1,
+                key,
+                base,
+                vector_length,
+                stride_elements,
+                indexed,
+                low,
+                high,
+                True,
+                self.memory.vector_bus_cycles(vector_length),
+                vector_length * ELEMENT_SIZE_BYTES,
+                len(self.vsaq.push_times) - 1,
+                push_time + 1,
             )
         )
         return push_time
@@ -195,17 +189,18 @@ class MemoryPipeline:
         push_time = self.ssaq.push(requested)
         self.pending_stores.append(
             PendingStore(
-                key=key,
-                base=base,
-                length=1,
-                stride_elements=1,
-                indexed=False,
-                memory_range=MemoryRange(base, base + ELEMENT_SIZE_BYTES),
-                is_vector=False,
-                bus_cycles=self.memory.timings.scalar_bus_cycles,
-                traffic_bytes=ELEMENT_SIZE_BYTES,
-                address_queue_index=self.ssaq.last_index,
-                address_ready=push_time + 1,
+                key,
+                base,
+                1,
+                1,
+                False,
+                base,
+                base + ELEMENT_SIZE_BYTES,
+                False,
+                self.memory.timings.scalar_bus_cycles,
+                ELEMENT_SIZE_BYTES,
+                len(self.ssaq.push_times) - 1,
+                push_time + 1,
             )
         )
         return push_time
@@ -241,6 +236,8 @@ class MemoryPipeline:
         store.data_ready = data_ready
 
     def _find_pending(self, key: int) -> PendingStore:
+        # The producing QMOV runs right after its store's address was queued,
+        # so the youngest store is the one in practice.
         for store in reversed(self.pending_stores):
             if store.key == key:
                 return store
@@ -269,16 +266,15 @@ class MemoryPipeline:
         stride_elements: int,
         indexed: bool,
         requested: int,
-    ) -> VectorLoadOutcome:
+    ) -> int:
         """Service a vector load: bypass it or send it to main memory.
 
         ``requested`` is the cycle at which the AP has the load ready to go
-        (operands available, AVDQ slot reservable).  The returned outcome
-        gives the cycle the load started and the cycle its last element is
-        available in the AVDQ.
+        (operands available, AVDQ slot reservable).  Returns the cycle the
+        load's last element is available in the AVDQ.
         """
-        load_range = access_range(base, vector_length, stride_elements, indexed=indexed)
-        conflict_index = self._youngest_conflict(load_range)
+        low, high = access_bounds(base, vector_length, stride_elements, indexed=indexed)
+        conflict_index = self._youngest_conflict(low, high)
 
         if conflict_index is not None and self.config.enable_bypass:
             candidate = self.pending_stores[conflict_index]
@@ -300,55 +296,52 @@ class MemoryPipeline:
             requested = max(requested, self._drain_through(conflict_index))
             self.disambiguation_stalls += 1
 
-        return self._memory_load(vector_length, requested)
-
-    def issue_scalar_load(self, base: int, requested: int) -> int:
-        """Service a scalar load through the cache; return its data-ready cycle."""
-        load_range = MemoryRange(base, base + ELEMENT_SIZE_BYTES)
-        conflict_index = self._youngest_conflict(load_range)
-        if conflict_index is not None:
-            requested = max(requested, self._drain_through(conflict_index))
-            self.disambiguation_stalls += 1
-
-        access = self.fabric.scalar_access_at(base, False)
-        if access.hit:
-            return self.fabric.scalar_load_ready(access, requested)
-
-        self._drain_ready_stores(requested)
-        bus_start, _bus_end = self.fabric.occupy_bus(
-            requested, self.memory.timings.scalar_bus_cycles, ELEMENT_SIZE_BYTES
-        )
-        return self.fabric.scalar_load_ready(access, bus_start)
-
-    def _bypass_load(
-        self, vector_length: int, requested: int, store: PendingStore
-    ) -> VectorLoadOutcome:
-        length = max(vector_length, 1)
-        start, _unit = self.bypass.acquire(max(requested, store.ready), length)
-        end = start + length
-        self.bypassed_loads += 1
-        self.bypassed_bytes += vector_length * ELEMENT_SIZE_BYTES
-        store.bypassed_to_loads += 1
-        return VectorLoadOutcome(start=start, data_ready=end, bypassed=True)
-
-    def _memory_load(self, vector_length: int, requested: int) -> VectorLoadOutcome:
         self._drain_ready_stores(requested)
         bus_cycles = self.memory.vector_bus_cycles(vector_length)
         bus_start, _bus_end = self.fabric.occupy_bus(
             requested, bus_cycles, vector_length * ELEMENT_SIZE_BYTES
         )
-        data_ready = self.memory.load_ready(bus_start, bus_cycles)
-        return VectorLoadOutcome(start=bus_start, data_ready=data_ready, bypassed=False)
+        return self.memory.load_ready(bus_start, bus_cycles)
+
+    def issue_scalar_load(self, base: int, requested: int) -> int:
+        """Service a scalar load through the cache; return its data-ready cycle."""
+        conflict_index = self._youngest_conflict(base, base + ELEMENT_SIZE_BYTES)
+        if conflict_index is not None:
+            requested = max(requested, self._drain_through(conflict_index))
+            self.disambiguation_stalls += 1
+
+        fabric = self.fabric
+        access = fabric.scalar_access_at(base, False)
+        if access.hit:
+            return fabric.scalar_load_ready(access, requested)
+
+        self._drain_ready_stores(requested)
+        bus_start, _bus_end = fabric.occupy_bus(
+            requested, self.memory.timings.scalar_bus_cycles, ELEMENT_SIZE_BYTES
+        )
+        return fabric.scalar_load_ready(access, bus_start)
+
+    def _bypass_load(self, vector_length: int, requested: int, store: PendingStore) -> int:
+        length = max(vector_length, 1)
+        start, _unit = self.bypass.acquire(max(requested, store.ready), length)
+        self.bypassed_loads += 1
+        self.bypassed_bytes += vector_length * ELEMENT_SIZE_BYTES
+        store.bypassed_to_loads += 1
+        return start + length
 
     # -- disambiguation and draining ------------------------------------------------------
 
-    def _youngest_conflict(self, load_range: MemoryRange) -> Optional[int]:
-        """Index of the youngest queued (undrained) store overlapping ``load_range``."""
-        for index in range(len(self.pending_stores) - 1, self._next_undrained - 1, -1):
-            store = self.pending_stores[index]
-            if store.drained:
-                continue
-            if store.memory_range.overlaps(load_range):
+    def _youngest_conflict(self, low: float, high: float) -> Optional[int]:
+        """Index of the youngest queued (undrained) store overlapping ``[low, high)``.
+
+        Bounds come from :func:`~repro.memory.ranges.access_bounds`, whose
+        infinite bounds for gathers and scatters overlap everything, so the
+        paper's hazard rule is two integer comparisons per queued store.
+        """
+        pending = self.pending_stores
+        for index in range(len(pending) - 1, self._next_undrained - 1, -1):
+            store = pending[index]
+            if store.low < high and low < store.high and not store.drained:
                 return index
         return None
 

@@ -28,6 +28,8 @@ Result assembly (:meth:`finish`) is inherited outright.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.common.errors import SimulationError
 from repro.dva.fetch import Processor
 from repro.dva.simulator import (
@@ -44,6 +46,7 @@ from repro.dva.simulator import (
 from repro.dva.vector import _FU2
 from repro.engine import occupancy_cycles
 from repro.engine.events import WakeupScheduler
+from repro.isa.registers import Register
 from repro.trace.columns import InstructionInfo
 from repro.trace.record import Trace
 
@@ -57,6 +60,35 @@ class _EventDecoupledState(_DecoupledState):
         self.ap_scheduler = WakeupScheduler()
         self.vp_scheduler = WakeupScheduler()
         self.sp_scheduler = WakeupScheduler()
+
+    # -- register bookkeeping ----------------------------------------------------------
+
+    def _operand_time(
+        self, register: Register, consumer: Processor, allow_chain: bool = False
+    ) -> int:
+        """Cycle at which ``consumer`` may use ``register``.
+
+        Values produced on another processor travel through the (large) scalar
+        data queues and arrive ``cross_processor_delay`` cycles after they were
+        produced; chaining is only possible inside the vector processor.
+        """
+        return self.core.scoreboard.read(
+            register,
+            consumer=consumer,
+            allow_chain=allow_chain,
+            cross_delay=self.config.cross_processor_delay,
+        )
+
+    def _set_register(
+        self,
+        register: Register,
+        owner: Processor,
+        ready: int,
+        chain_start: Optional[int] = None,
+    ) -> None:
+        self.core.scoreboard.write(
+            register, ready, chain_start=chain_start, owner=owner
+        )
 
     # -- main loop ------------------------------------------------------------------------
 
@@ -166,11 +198,11 @@ class _EventDecoupledState(_DecoupledState):
 
         if info.is_vector_memory:
             if is_vector_load:
-                outcome = memory.issue_vector_load(
+                data_ready = memory.issue_vector_load(
                     address, vector_length, stride_elements, info.is_indexed, start
                 )
-                memory.avdq.push(start, ready=outcome.data_ready)
-                self.core.bump(outcome.data_ready)
+                memory.avdq.push(start, ready=data_ready)
+                self.core.bump(data_ready)
                 finish = start + 1
             else:
                 push_time = memory.enqueue_vector_store(

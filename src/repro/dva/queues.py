@@ -111,10 +111,6 @@ class TimedQueue:
         self.pop_times.append(None)
         return len(self.push_times) - 1
 
-    def set_ready(self, index: int, ready: int) -> None:
-        """Record when the data of entry ``index`` becomes available."""
-        self.ready_times[index] = ready
-
     @property
     def last_index(self) -> int:
         if not self.push_times:
@@ -163,6 +159,17 @@ class TimedQueue:
             )
         self.pop_times[index] = requested
         self._next_pop_index += 1
+
+    def released_through(self, count: int) -> None:
+        """Record that the first ``count`` entries have been popped.
+
+        The counterpart of :meth:`push_at` for consumers that write release
+        cycles into :attr:`pop_times` themselves (the tick core's instruction
+        queues, whose every entry is popped by the processor it was pushed
+        for within the same traced instruction): one call after the run
+        brings the FIFO head up to date.
+        """
+        self._next_pop_index = count
 
     # -- statistics ----------------------------------------------------------------------
 

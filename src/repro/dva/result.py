@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.common.intervals import IntervalRecorder, StateBreakdown, state_breakdown
 from repro.common.stats import Histogram
-from repro.common.timeline import OccupancyTimeline
+from repro.common.timeline import OccupancySummary, OccupancyTimeline
+
+if TYPE_CHECKING:
+    from repro.dva.queues import TimedQueue
+
+#: Instruction queues whose occupancy timelines are built on request.
+_INSTRUCTION_QUEUES = ("APIQ", "VPIQ", "SPIQ")
 
 
 @dataclass
@@ -18,6 +24,12 @@ class DecoupledResult:
     functional-unit and memory-port busy intervals, traffic), the decoupled
     result carries the queue occupancy timelines needed for Figure 6, the
     bypass statistics of Section 7 and per-processor instruction counts.
+
+    Derived metrics are computed once, on first use: one sweep of the AVDQ
+    residencies yields its histogram, peak and mean, and one endpoint sweep
+    yields the state breakdown.  The VADQ and instruction-queue timelines,
+    which no report reads, are built from ``timeline_queues`` only when
+    asked for.
     """
 
     program: str
@@ -33,8 +45,10 @@ class DecoupledResult:
     bypass_busy: IntervalRecorder
 
     avdq_occupancy: OccupancyTimeline
-    vadq_occupancy: OccupancyTimeline
-    instruction_queue_occupancy: Dict[str, OccupancyTimeline]
+    #: The VADQ and the three instruction queues, by name, as the run left them.
+    timeline_queues: Dict[str, "TimedQueue"] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     instructions_per_processor: Dict[str, int] = field(default_factory=dict)
     memory_traffic_bytes: int = 0
@@ -46,6 +60,10 @@ class DecoupledResult:
     scalar_cache_misses: int = 0
 
     _breakdown: StateBreakdown | None = field(default=None, repr=False, compare=False)
+    _avdq: OccupancySummary | None = field(default=None, repr=False, compare=False)
+    _timelines: Dict[str, OccupancyTimeline] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     # -- unit-state analysis (Figures 1/4 style) ---------------------------------------
 
@@ -76,15 +94,38 @@ class DecoupledResult:
 
     # -- queue analysis (Figure 6) -------------------------------------------------------
 
+    def _avdq_summary(self) -> OccupancySummary:
+        if self._avdq is None:
+            self._avdq = self.avdq_occupancy.summary(self.total_cycles)
+        return self._avdq
+
     def avdq_histogram(self) -> Histogram:
         """Cycles at each AVDQ occupancy level over the whole run."""
-        return self.avdq_occupancy.occupancy_histogram(self.total_cycles)
+        return self._avdq_summary().histogram
 
     def max_avdq_occupancy(self) -> int:
-        return self.avdq_occupancy.max_occupancy()
+        return self._avdq_summary().max_occupancy
 
     def mean_avdq_occupancy(self) -> float:
-        return self.avdq_occupancy.mean_occupancy(self.total_cycles)
+        return self._avdq_summary().mean_occupancy
+
+    def _timeline(self, name: str) -> OccupancyTimeline:
+        timeline = self._timelines.get(name)
+        if timeline is None:
+            queue = self.timeline_queues[name]
+            timeline = queue.occupancy_timeline(name, horizon=self.total_cycles)
+            self._timelines[name] = timeline
+        return timeline
+
+    @property
+    def vadq_occupancy(self) -> OccupancyTimeline:
+        """Residencies of the vector store data queue (built on first access)."""
+        return self._timeline("VADQ")
+
+    @property
+    def instruction_queue_occupancy(self) -> Dict[str, OccupancyTimeline]:
+        """Residencies of APIQ, VPIQ and SPIQ (built on first access)."""
+        return {name: self._timeline(name) for name in _INSTRUCTION_QUEUES}
 
     # -- bypass analysis (Section 7 / Figure 8) -------------------------------------------
 

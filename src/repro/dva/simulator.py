@@ -1,4 +1,4 @@
-"""Event-driven simulator of the decoupled vector architecture.
+"""One-pass (tick) simulator of the decoupled vector architecture.
 
 The simulator performs a single pass over the dynamic trace in program order.
 For every traced instruction it advances, in this order, the fetch processor
@@ -7,23 +7,29 @@ executes the instruction itself, and the processor that executes the hidden
 QMOV companion the fetch processor generated for it.  Because every processor
 works through its stream in order and all queues are FIFO, the blocking
 behaviour of the bounded queues reduces to timestamp arithmetic handled by
-:class:`~repro.dva.queues.TimedQueue`, and a single pass reproduces the timing
-a cycle-stepped simulation would give.
+:class:`~repro.dva.queues.TimedQueue`, and each issue cycle is the running
+``max`` of the constraints on it — the timing a cycle-stepped simulation
+would give, without stepping cycles.
 
 The timing machinery — the owner-aware register scoreboard, the per-processor
 issue pointers, the functional-unit/QMOV/port pools, fetch-stall accounting
 and the completion horizon — is the shared :mod:`repro.engine` kernel; this
 module contributes only the issue rules of the four processors.  The main
-loop runs over the trace's columns: routing decisions and operand lists are
-precomputed per unique static instruction (cached on the trace via
+loop runs over the trace's columns.  Routing decisions are precomputed per
+unique static instruction (cached on the trace via
 :meth:`~repro.trace.columns.ColumnarTrace.instruction_infos` and the
-``dva_routes`` annotation), and the dynamic facts — vector length, stride,
-base address — are integer column reads held in locals.  The decoupling (and
-its limits) emerge from the timestamps: the address processor is free to run
-ahead of the vector processor because nothing it does waits for vector
-computation — until it meets a full queue, a memory hazard against a queued
-store, or a scalar value that the slower side has not produced yet (the
-DYFESM lockstep case of paper §5).
+``dva_routes`` annotation), and once per run every unique instruction's
+operand and destination registers are bound to their
+:class:`~repro.engine.scoreboard.RegisterEntry` objects, so the issue rules
+read and write ``ready``/``chain_start``/``owner`` directly.  The dynamic
+facts — vector length, stride, base address — are integer column reads held
+in locals, as are the processors' issue pointers and the instruction queues'
+timestamp lists.  The decoupling (and its limits) emerge from the
+timestamps: the address processor is free to run ahead of the vector
+processor because nothing it does waits for vector computation — until it
+meets a full queue, a memory hazard against a queued store, or a scalar
+value that the slower side has not produced yet (the DYFESM lockstep case of
+paper §5).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from repro.dva.config import DecoupledConfig
 from repro.dva.fetch import Processor, route_instruction
 from repro.dva.queues import TimedQueue
 from repro.dva.result import DecoupledResult
-from repro.dva.vector import VectorExecutionResources
+from repro.dva.vector import _FU1, _FU2, VectorExecutionResources
 from repro.engine import TimingCore, validate_core
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import Register, RegisterClass
@@ -76,6 +82,32 @@ _PRIMARY_CODES = {
 #: One routing entry per unique instruction: (primary dispatch code, QMOV
 #: dispatch code, instruction-queue ids receiving an entry).
 RouteEntry = Tuple[int, int, Tuple[int, ...]]
+
+#: Issue-rule codes of the tick core: one per (primary, QMOV) combination the
+#: fetch processor's routing produces.
+_OP_FETCH = 0
+_OP_ADDRESS = 1
+_OP_VECTOR = 2
+_OP_SCALAR = 3
+_OP_VECTOR_LOAD = 4
+_OP_VECTOR_STORE = 5
+_OP_SCALAR_LOAD = 6
+_OP_SCALAR_STORE = 7
+
+_OPS = {
+    (_PRIMARY_FETCH, _QMOV_NONE): _OP_FETCH,
+    (_PRIMARY_ADDRESS, _QMOV_NONE): _OP_ADDRESS,
+    (_PRIMARY_VECTOR, _QMOV_NONE): _OP_VECTOR,
+    (_PRIMARY_SCALAR, _QMOV_NONE): _OP_SCALAR,
+    (_PRIMARY_ADDRESS, _QMOV_V_LOAD): _OP_VECTOR_LOAD,
+    (_PRIMARY_ADDRESS, _QMOV_V_STORE): _OP_VECTOR_STORE,
+    (_PRIMARY_ADDRESS, _QMOV_S_LOAD): _OP_SCALAR_LOAD,
+    (_PRIMARY_ADDRESS, _QMOV_S_STORE): _OP_SCALAR_STORE,
+}
+
+_ADDRESS = Processor.ADDRESS
+_VECTOR = Processor.VECTOR
+_SCALAR = Processor.SCALAR
 
 
 def _routing_table(columns: ColumnarTrace) -> List[RouteEntry]:
@@ -192,318 +224,372 @@ class _DecoupledState:
         self.vector_loads = 0
         self.vector_stores = 0
 
-    # -- register bookkeeping ----------------------------------------------------------
+    # -- per-run operand binding ------------------------------------------------------------
 
-    def _operand_time(
-        self, register: Register, consumer: Processor, allow_chain: bool = False
-    ) -> int:
-        """Cycle at which ``consumer`` may use ``register``.
+    def _bind(self, infos: List[InstructionInfo], routes: List[RouteEntry]) -> List[tuple]:
+        """Each unique instruction's issue rule with its registers bound to entries.
 
-        Values produced on another processor travel through the (large) scalar
-        data queues and arrive ``cross_processor_delay`` cycles after they were
-        produced; chaining is only possible inside the vector processor.
+        One tuple per unique instruction: ``(op, queues, reads, writes,
+        moved, flag, info)``.  ``queues`` holds the ``(push, ready, pop)``
+        timestamp lists of the instruction queues the fetch processor pushes
+        into; ``reads``/``writes`` are the scoreboard entries the primary
+        rule reads and writes (``writes`` pairs each entry with its
+        vector flag on the VP); ``moved`` is the entry the QMOV companion of
+        a memory reference moves — written by loads, read by stores — or
+        ``None`` when the instruction names no such register; ``flag`` is
+        ``requires_fu2`` on the VP and ``is_indexed`` for memory references.
+        Exactly the registers each rule touches are bound, so the scoreboard
+        ends the run holding the same entries as on-demand lookups would
+        create.  Entries are per run, so the binding is too; the routing it
+        starts from is cached on the trace.
         """
-        return self.core.scoreboard.read(
-            register,
-            consumer=consumer,
-            allow_chain=allow_chain,
-            cross_delay=self.config.cross_processor_delay,
-        )
-
-    def _set_register(
-        self,
-        register: Register,
-        owner: Processor,
-        ready: int,
-        chain_start: Optional[int] = None,
-    ) -> None:
-        self.core.scoreboard.write(
-            register, ready, chain_start=chain_start, owner=owner
-        )
+        entry = self.core.scoreboard.entry
+        queue_lists = [(q.push_times, q.ready_times, q.pop_times) for q in self._iqs]
+        bound = []
+        for info, (primary, qmov, targets) in zip(infos, routes):
+            op = _OPS[primary, qmov]
+            reads: tuple = ()
+            writes: tuple = ()
+            moved = None
+            flag = False
+            if op == _OP_VECTOR:
+                reads = tuple(entry(register) for register in info.data_sources)
+                writes = tuple(
+                    (entry(register), is_vector)
+                    for register, is_vector in info.destination_flags
+                )
+                flag = info.requires_fu2
+            elif op == _OP_SCALAR:
+                reads = tuple(entry(register) for register in info.sources)
+                writes = tuple(entry(register) for register in info.destinations)
+            elif op != _OP_FETCH:
+                # Everything the AP executes waits only for scalar operands
+                # (addresses, lengths); the data registers of vector accesses
+                # belong to the VP and travel through the queues instead.
+                reads = tuple(entry(register) for register in info.scalar_sources)
+                if op == _OP_ADDRESS:
+                    writes = tuple(entry(register) for register in info.destinations)
+                else:
+                    flag = info.is_indexed
+                    moved_registers = {
+                        _OP_VECTOR_LOAD: info.vector_destinations,
+                        _OP_VECTOR_STORE: info.vector_sources,
+                        _OP_SCALAR_LOAD: info.scalar_destinations,
+                        _OP_SCALAR_STORE: info.scalar_sources,
+                    }[op]
+                    if moved_registers:
+                        moved = entry(moved_registers[0])
+            queues = tuple(queue_lists[queue_id] for queue_id in targets)
+            bound.append((op, queues, reads, writes, moved, flag, info))
+        return bound
 
     # -- main loop ------------------------------------------------------------------------
 
     def consume(self, trace: Trace) -> None:
         """Fetch, execute and queue-move every traced instruction in order.
 
-        One pass over the columns: static facts come from the shared
-        instruction-info and routing tables, dynamic facts (VL, stride, base
-        address) are integer column reads held in locals.
+        One pass over the columns: static facts and bound scoreboard entries
+        come from :meth:`_bind`, dynamic facts (VL, stride, base address)
+        are integer column reads, and the processors' issue pointers, the
+        completion horizon and the counters live in locals written back once
+        at the end.  Every instruction-queue entry is popped by the processor
+        it was pushed for within the same traced instruction, so each pop is
+        a store to the last slot of the queue's pop list, and the entry
+        ``capacity`` places back — the one a push waits for — has always been
+        released.
         """
         columns = trace.columns
-        infos = columns.instruction_infos()
-        routes = _routing_table(columns)
+        bound = self._bind(columns.instruction_infos(), _routing_table(columns))
         insn = columns.insn
         lengths = columns.vl
         strides = columns.stride
         addresses = columns.addr
 
-        core = self.core
-        iqs = self._iqs
-        fp_free = self.fp.free
-        fetch_stall = core.stalls.stall
-        address_execute = self._address_execute
-        vector_compute = self._vector_compute
-        scalar_execute = self._scalar_execute
+        config = self.config
+        cross = config.cross_processor_delay
+        fu_startup = config.functional_unit_startup
+        qmov_startup = config.queue_move_startup
+        lanes = config.lanes
+        iq_capacity = config.queues.instruction_queue
+        ap_pops = self.apiq.pop_times
+        vp_pops = self.vpiq.pop_times
+        sp_pops = self.spiq.pop_times
 
-        vector_loads = 0
-        vector_stores = 0
-
-        for index in range(len(insn)):
-            table_index = insn[index]
-            info = infos[table_index]
-            primary, qmov, targets = routes[table_index]
-
-            # Fetch: translate and distribute.  The push cycle is the first
-            # cycle every target queue can accept an entry; the entry indices
-            # are remembered for the executing processors (primary first,
-            # QMOV second — push order matters for queue state).
-            push_time = requested = fp_free[0]
-            for queue_id in targets:
-                earliest = iqs[queue_id].earliest_push(requested)
-                if earliest > push_time:
-                    push_time = earliest
-            if push_time > requested:
-                fetch_stall("fetch", push_time - requested)
-            primary_entry = qmov_entry = -1
-            for queue_id in targets:
-                entry = iqs[queue_id].push_at(push_time, push_time + 1)
-                if primary_entry < 0:
-                    primary_entry = entry
-                else:
-                    qmov_entry = entry
-            fp_free[0] = push_time + 1
-            if push_time + 1 > core.horizon:
-                core.horizon = push_time + 1
-
-            if primary == _PRIMARY_ADDRESS:
-                if info.is_vector_memory:
-                    if info.is_load:
-                        vector_loads += 1
-                    else:
-                        vector_stores += 1
-                address_execute(
-                    info, index, lengths[index], strides[index],
-                    addresses[index], primary_entry,
-                )
-            elif primary == _PRIMARY_VECTOR:
-                vector_compute(info, lengths[index], primary_entry)
-            elif primary == _PRIMARY_SCALAR:
-                scalar_execute(info, primary_entry)
-            # _PRIMARY_FETCH: consumed during translation, nothing further.
-
-            if qmov == _QMOV_NONE:
-                continue
-            if qmov == _QMOV_V_LOAD:
-                self._vector_qmov_load(info, lengths[index], qmov_entry)
-            elif qmov == _QMOV_V_STORE:
-                self._vector_qmov_store(info, index, lengths[index], qmov_entry)
-            elif qmov == _QMOV_S_LOAD:
-                self._scalar_qmov_load(info, qmov_entry)
-            else:
-                self._scalar_qmov_store(info, index, qmov_entry)
-
-        self.fp_count += len(insn)
-        self.vector_loads += vector_loads
-        self.vector_stores += vector_stores
-
-    # -- address processor --------------------------------------------------------------------------
-
-    def _address_execute(
-        self,
-        info: InstructionInfo,
-        index: int,
-        vector_length: int,
-        stride_elements: int,
-        address: int,
-        entry_index: int,
-    ) -> None:
-        self.ap_count += 1
-        ready = self.apiq.ready_times[entry_index]
-        free = self.ap.free[0]
-        start = free if free > ready else ready
-        # The AP only waits for scalar operands (addresses, lengths); the data
-        # registers of vector accesses belong to the VP and travel through the
-        # queues instead.
-        for register in info.scalar_sources:
-            operand = self._operand_time(register, Processor.ADDRESS)
-            if operand > start:
-                start = operand
+        fus = self.resources.fus
+        fu_free = fus.free
+        fu_record = tuple(recorder.record for recorder in fus.recorders)
+        qmovs = self.resources.qmovs
+        qmov_free = qmovs.free
+        qmov_record = tuple(recorder.record for recorder in qmovs.recorders)
 
         memory = self.memory
-        if info.is_vector_memory:
-            if info.is_load:
-                slot = memory.reserve_load_data_slot(start)
+        reserve_load_slot = memory.reserve_load_data_slot
+        issue_vector_load = memory.issue_vector_load
+        issue_scalar_load = memory.issue_scalar_load
+        enqueue_vector_store = memory.enqueue_vector_store
+        enqueue_scalar_store = memory.enqueue_scalar_store
+        reserve_store_slot = memory.reserve_vector_store_data_slot
+        attach_vector_store_data = memory.attach_vector_store_data
+        attach_scalar_store_data = memory.attach_scalar_store_data
+        avdq_push = memory.avdq.push
+        avdq_pop = memory.avdq.pop
+        asdq_push = memory.asdq.push
+        asdq_pop = memory.asdq.pop
+
+        core = self.core
+        horizon = core.horizon
+        fp_time = self.fp.free[0]
+        ap_time = self.ap.free[0]
+        vp_time = self.vp.free[0]
+        sp_time = self.sp.free[0]
+        fetch_stalls = 0
+        ap_count = vp_count = sp_count = 0
+        vector_loads = vector_stores = 0
+
+        for index in range(len(insn)):
+            op, queues, reads, writes, moved, flag, info = bound[insn[index]]
+
+            # Fetch: translate and distribute.  The push cycle is the first
+            # cycle every target queue can accept an entry.
+            push_time = fp_time
+            for pushes, _readies, pops in queues:
+                depth = len(pushes)
+                if depth >= iq_capacity:
+                    blocking = pops[depth - iq_capacity]
+                    if blocking > push_time:
+                        push_time = blocking
+            if push_time > fp_time:
+                fetch_stalls += push_time - fp_time
+            ready = fp_time = push_time + 1
+            for pushes, readies, pops in queues:
+                pushes.append(push_time)
+                readies.append(ready)
+                pops.append(None)
+            if ready > horizon:
+                horizon = ready
+
+            if op == _OP_FETCH:
+                # Consumed during translation, nothing further.
+                continue
+
+            if op == _OP_VECTOR:
+                vp_count += 1
+                start = vp_time if vp_time > ready else ready
+                for entry in reads:
+                    if entry.owner is _VECTOR:
+                        operand = entry.chain_start
+                        if operand is None:
+                            operand = entry.ready
+                    else:
+                        operand = entry.ready + cross
+                    if operand > start:
+                        start = operand
+                length = lengths[index]
+                if length < 1:
+                    length = 1
+                busy = length if lanes == 1 else -(-length // lanes)
+                # FU2 executes everything, FU1 only what does not require
+                # FU2; the least-loaded eligible unit wins, FU1 taking ties.
+                unit = _FU2 if flag or fu_free[_FU1] > fu_free[_FU2] else _FU1
+                if fu_free[unit] > start:
+                    start = fu_free[unit]
+                fu_free[unit] = start + busy
+                fu_record[unit](start, start + busy)
+                vp_pops[-1] = start
+                vp_time = start + 1
+                chain = start + fu_startup
+                completion = chain + busy
+                for entry, is_vector in writes:
+                    entry.ready = completion
+                    entry.chain_start = chain if is_vector else None
+                    entry.owner = _VECTOR
+                if completion > horizon:
+                    horizon = completion
+                continue
+
+            if op == _OP_SCALAR:
+                sp_count += 1
+                start = sp_time if sp_time > ready else ready
+                for entry in reads:
+                    operand = entry.ready if entry.owner is _SCALAR else entry.ready + cross
+                    if operand > start:
+                        start = operand
+                sp_pops[-1] = start
+                sp_time = completion = start + 1
+                for entry in writes:
+                    entry.ready = completion
+                    entry.chain_start = None
+                    entry.owner = _SCALAR
+                if completion > horizon:
+                    horizon = completion
+                continue
+
+            # The address processor: address arithmetic, AP-resolved branches
+            # and the address half of every memory reference.
+            ap_count += 1
+            start = ap_time if ap_time > ready else ready
+            for entry in reads:
+                operand = entry.ready if entry.owner is _ADDRESS else entry.ready + cross
+                if operand > start:
+                    start = operand
+
+            if op == _OP_ADDRESS:
+                # Address arithmetic and AP-resolved branches take one cycle.
+                ap_pops[-1] = start
+                ap_time = finish = start + 1
+                for entry in writes:
+                    entry.ready = finish
+                    entry.chain_start = None
+                    entry.owner = _ADDRESS
+                if finish > horizon:
+                    horizon = finish
+                continue
+
+            length = lengths[index]
+            if op == _OP_VECTOR_LOAD:
+                vector_loads += 1
+                slot = reserve_load_slot(start)
                 if slot > start:
                     start = slot
-                outcome = memory.issue_vector_load(
-                    address, vector_length, stride_elements, info.is_indexed, start
+                data_ready = issue_vector_load(
+                    addresses[index], length, strides[index], flag, start
                 )
-                memory.avdq.push(start, ready=outcome.data_ready)
-                self.core.bump(outcome.data_ready)
-                finish = start + 1
-            else:
-                push_time = memory.enqueue_vector_store(
-                    index, address, vector_length, stride_elements,
-                    info.is_indexed, start,
+                avdq_push(start, data_ready)
+                ap_pops[-1] = start
+                ap_time = start + 1
+                if data_ready > horizon:
+                    horizon = data_ready
+                if ap_time > horizon:
+                    horizon = ap_time
+
+                # QMOV on the VP: AVDQ → vector register.  The load's own
+                # entry is the AVDQ head (every earlier entry was popped by
+                # its own QMOV), so its data-ready cycle is the head's.
+                vp_count += 1
+                start = vp_time if vp_time > ready else ready
+                if data_ready > start:
+                    start = data_ready
+                if length < 1:
+                    length = 1
+                unit = qmov_free.index(min(qmov_free))
+                if qmov_free[unit] > start:
+                    start = qmov_free[unit]
+                end = qmov_free[unit] = start + length
+                qmov_record[unit](start, end)
+                vp_pops[-1] = start
+                vp_time = start + 1
+                avdq_pop(end)
+                if moved is None:
+                    raise SimulationError(
+                        f"vector load without a vector destination: {info.instruction}"
+                    )
+                moved.ready = completion = end + qmov_startup
+                moved.chain_start = start + qmov_startup
+                moved.owner = _VECTOR
+                if completion > horizon:
+                    horizon = completion
+
+            elif op == _OP_VECTOR_STORE:
+                vector_stores += 1
+                push = enqueue_vector_store(
+                    index, addresses[index], length, strides[index], flag, start
                 )
-                finish = max(start, push_time) + 1
-        elif info.is_scalar_memory:
-            if info.is_load:
-                data_ready = memory.issue_scalar_load(address, start)
-                memory.asdq.push(start, ready=data_ready)
-                self.core.bump(data_ready)
-                finish = start + 1
+                ap_pops[-1] = start
+                ap_time = (push if push > start else start) + 1
+                if ap_time > horizon:
+                    horizon = ap_time
+
+                # QMOV on the VP: vector register → VADQ.
+                vp_count += 1
+                start = vp_time if vp_time > ready else ready
+                if moved is None:
+                    raise SimulationError(
+                        f"vector store without a vector data register: {info.instruction}"
+                    )
+                if moved.owner is _VECTOR:
+                    operand = moved.chain_start
+                    if operand is None:
+                        operand = moved.ready
+                else:
+                    operand = moved.ready + cross
+                if operand > start:
+                    start = operand
+                slot = reserve_store_slot(start)
+                if slot > start:
+                    start = slot
+                if length < 1:
+                    length = 1
+                unit = qmov_free.index(min(qmov_free))
+                if qmov_free[unit] > start:
+                    start = qmov_free[unit]
+                data_ready = qmov_free[unit] = start + length
+                qmov_record[unit](start, data_ready)
+                vp_pops[-1] = start
+                vp_time = start + 1
+                attach_vector_store_data(index, start, data_ready)
+                if data_ready > horizon:
+                    horizon = data_ready
+
+            elif op == _OP_SCALAR_LOAD:
+                data_ready = issue_scalar_load(addresses[index], start)
+                asdq_push(start, data_ready)
+                ap_pops[-1] = start
+                ap_time = start + 1
+                if data_ready > horizon:
+                    horizon = data_ready
+                if ap_time > horizon:
+                    horizon = ap_time
+
+                # QMOV on the SP: ASDQ → scalar register; the load's own
+                # entry is the ASDQ head.
+                sp_count += 1
+                start = sp_time if sp_time > ready else ready
+                if data_ready > start:
+                    start = data_ready
+                sp_pops[-1] = start
+                sp_time = completion = start + 1
+                asdq_pop(completion)
+                if moved is not None:
+                    moved.ready = completion
+                    moved.chain_start = None
+                    moved.owner = _SCALAR
+                if completion > horizon:
+                    horizon = completion
+
             else:
-                push_time = memory.enqueue_scalar_store(index, address, start)
-                finish = max(start, push_time) + 1
-        else:
-            # Address arithmetic and AP-resolved branches take one cycle.
-            finish = start + 1
-            for register in info.destinations:
-                self._set_register(register, Processor.ADDRESS, finish)
+                push = enqueue_scalar_store(index, addresses[index], start)
+                ap_pops[-1] = start
+                ap_time = (push if push > start else start) + 1
+                if ap_time > horizon:
+                    horizon = ap_time
 
-        self.apiq.pop(start)
-        self.ap.occupy(start, finish)
-        self.core.bump(finish)
+                # QMOV on the SP: scalar register → SADQ.
+                sp_count += 1
+                start = sp_time if sp_time > ready else ready
+                if moved is not None:
+                    operand = moved.ready if moved.owner is _SCALAR else moved.ready + cross
+                    if operand > start:
+                        start = operand
+                sp_pops[-1] = start
+                sp_time = completion = start + 1
+                attach_scalar_store_data(index, start, completion)
+                if completion > horizon:
+                    horizon = completion
 
-    # -- vector processor -----------------------------------------------------------------------------
-
-    def _vector_compute(
-        self, info: InstructionInfo, vector_length: int, entry_index: int
-    ) -> None:
-        self.vp_count += 1
-        ready = self.vpiq.ready_times[entry_index]
-        free = self.vp.free[0]
-        start = free if free > ready else ready
-        for register in info.data_sources:
-            operand = self._operand_time(register, Processor.VECTOR, allow_chain=True)
-            if operand > start:
-                start = operand
-
-        length = vector_length if vector_length > 1 else 1
-        start, busy = self.resources.acquire_functional_unit(
-            start, length, info.requires_fu2
-        )
-        self.vpiq.pop(start)
-        self.vp.occupy(start, start + 1)
-
-        startup = self.config.functional_unit_startup
-        completion = start + startup + busy
-        for register, is_vector in info.destination_flags:
-            chain = start + startup if is_vector else None
-            self._set_register(register, Processor.VECTOR, completion, chain)
-        self.core.bump(completion)
-
-    def _vector_qmov_load(
-        self, info: InstructionInfo, vector_length: int, entry_index: int
-    ) -> None:
-        self.vp_count += 1
-        ready = self.vpiq.ready_times[entry_index]
-        free = self.vp.free[0]
-        start = free if free > ready else ready
-        front_ready = self.memory.avdq.front_ready()
-        if front_ready > start:
-            start = front_ready
-
-        length = vector_length if vector_length > 1 else 1
-        start, _unit = self.resources.acquire_qmov_unit(start, length)
-        self.vpiq.pop(start)
-        self.vp.occupy(start, start + 1)
-
-        end = start + length
-        self.memory.avdq.pop(end)
-        startup = self.config.queue_move_startup
-        completion = start + startup + length
-        destinations = info.vector_destinations
-        if not destinations:
-            raise SimulationError(
-                f"vector load without a vector destination: {info.instruction}"
-            )
-        self._set_register(
-            destinations[0], Processor.VECTOR, completion, chain_start=start + startup
-        )
-        self.core.bump(completion)
-
-    def _vector_qmov_store(
-        self, info: InstructionInfo, index: int, vector_length: int, entry_index: int
-    ) -> None:
-        self.vp_count += 1
-        ready = self.vpiq.ready_times[entry_index]
-        free = self.vp.free[0]
-        start = free if free > ready else ready
-        sources = info.vector_sources
-        if not sources:
-            raise SimulationError(
-                f"vector store without a vector data register: {info.instruction}"
-            )
-        operand = self._operand_time(sources[0], Processor.VECTOR, allow_chain=True)
-        if operand > start:
-            start = operand
-        slot = self.memory.reserve_vector_store_data_slot(start)
-        if slot > start:
-            start = slot
-
-        length = vector_length if vector_length > 1 else 1
-        start, _unit = self.resources.acquire_qmov_unit(start, length)
-        self.vpiq.pop(start)
-        self.vp.occupy(start, start + 1)
-
-        data_ready = start + length
-        self.memory.attach_vector_store_data(index, push_time=start, data_ready=data_ready)
-        self.core.bump(data_ready)
-
-    # -- scalar processor ----------------------------------------------------------------------------------
-
-    def _scalar_execute(self, info: InstructionInfo, entry_index: int) -> None:
-        self.sp_count += 1
-        ready = self.spiq.ready_times[entry_index]
-        free = self.sp.free[0]
-        start = free if free > ready else ready
-        for register in info.sources:
-            operand = self._operand_time(register, Processor.SCALAR)
-            if operand > start:
-                start = operand
-
-        self.spiq.pop(start)
-        self.sp.occupy(start, start + 1)
-        completion = start + 1
-        for register in info.destinations:
-            self._set_register(register, Processor.SCALAR, completion)
-        self.core.bump(completion)
-
-    def _scalar_qmov_load(self, info: InstructionInfo, entry_index: int) -> None:
-        self.sp_count += 1
-        ready = self.spiq.ready_times[entry_index]
-        front_ready = self.memory.asdq.front_ready()
-        start = max(self.sp.free[0], ready, front_ready)
-
-        self.spiq.pop(start)
-        self.sp.occupy(start, start + 1)
-        self.memory.asdq.pop(start + 1)
-        completion = start + 1
-        destinations = info.scalar_destinations
-        if destinations:
-            self._set_register(destinations[0], Processor.SCALAR, completion)
-        self.core.bump(completion)
-
-    def _scalar_qmov_store(
-        self, info: InstructionInfo, index: int, entry_index: int
-    ) -> None:
-        self.sp_count += 1
-        ready = self.spiq.ready_times[entry_index]
-        free = self.sp.free[0]
-        start = free if free > ready else ready
-        sources = info.scalar_sources
-        if sources:
-            operand = self._operand_time(sources[0], Processor.SCALAR)
-            if operand > start:
-                start = operand
-
-        self.spiq.pop(start)
-        self.sp.occupy(start, start + 1)
-        self.memory.attach_scalar_store_data(index, push_time=start, data_ready=start + 1)
-        self.core.bump(start + 1)
+        core.horizon = horizon
+        core.stalls.stall("fetch", fetch_stalls)
+        self.fp.free[0] = fp_time
+        self.ap.free[0] = ap_time
+        self.vp.free[0] = vp_time
+        self.sp.free[0] = sp_time
+        for queue in self._iqs:
+            queue.released_through(len(queue.push_times))
+        self.fp_count += len(insn)
+        self.ap_count += ap_count
+        self.vp_count += vp_count
+        self.sp_count += sp_count
+        self.vector_loads += vector_loads
+        self.vector_stores += vector_stores
 
     # -- wind-down ------------------------------------------------------------------------------------------
 
@@ -521,11 +607,6 @@ class _DecoupledState:
         if not len(trace):
             total_cycles = 0
 
-        instruction_queue_occupancy = {
-            "APIQ": self.apiq.occupancy_timeline(horizon=total_cycles),
-            "VPIQ": self.vpiq.occupancy_timeline(horizon=total_cycles),
-            "SPIQ": self.spiq.occupancy_timeline(horizon=total_cycles),
-        }
         counts = {
             "FP": self.fp_count,
             "AP": self.ap_count,
@@ -546,8 +627,12 @@ class _DecoupledState:
             qmov_busy=list(self.resources.qmov_units),
             bypass_busy=self.memory.bypass_unit,
             avdq_occupancy=self.memory.avdq.occupancy_timeline("AVDQ", horizon=total_cycles),
-            vadq_occupancy=self.memory.vadq.occupancy_timeline("VADQ", horizon=total_cycles),
-            instruction_queue_occupancy=instruction_queue_occupancy,
+            timeline_queues={
+                "VADQ": self.memory.vadq,
+                "APIQ": self.apiq,
+                "VPIQ": self.vpiq,
+                "SPIQ": self.spiq,
+            },
             instructions_per_processor=counts,
             memory_traffic_bytes=self.memory.traffic_bytes,
             bypassed_loads=self.memory.bypassed_loads,

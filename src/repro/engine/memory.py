@@ -30,6 +30,15 @@ class ScalarAccess:
     uses_port: bool
 
 
+#: The three outcomes a scalar reference can have, shared rather than built
+#: per reference: ``_ACCESSES[hit][uses_port]`` (a hit that uses the port is
+#: a write-through store).
+_ACCESSES = (
+    (None, ScalarAccess(hit=False, uses_port=True)),
+    (ScalarAccess(hit=True, uses_port=False), ScalarAccess(hit=True, uses_port=True)),
+)
+
+
 class MemoryFabric:
     """Port pool, scalar cache and traffic accounting for one machine.
 
@@ -78,10 +87,8 @@ class MemoryFabric:
         policy, each with its own copy of the code).
         """
         hit = self.cache.access(address)
-        uses_port = not hit
-        if is_store and self.scalar_store_writes_through:
-            uses_port = True
-        return ScalarAccess(hit=hit, uses_port=uses_port)
+        uses_port = not hit or (is_store and self.scalar_store_writes_through)
+        return _ACCESSES[hit][uses_port]
 
     def scalar_access(self, record: DynamicInstruction) -> ScalarAccess:
         """Record-object form of :meth:`scalar_access_at`."""

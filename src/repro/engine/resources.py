@@ -139,8 +139,7 @@ class ResourcePool:
             return self.recorders[0]
         combined = IntervalRecorder(name or self.name)
         for recorder in self.recorders:
-            for interval in recorder:
-                combined.record_interval(interval)
+            combined.record_all(recorder)
         return combined
 
     def busy_time(self) -> int:

@@ -10,7 +10,9 @@ be characterised by a range, so they are treated as covering all of memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.common.errors import SimulationError
 from repro.isa.registers import ELEMENT_SIZE_BYTES
@@ -63,6 +65,40 @@ class MemoryRange:
 FULL_RANGE = MemoryRange(full=True)
 
 
+#: Byte bounds of an access that covers all of memory (gathers and scatters):
+#: they overlap every other pair of bounds, the empty ones included.
+ALL_MEMORY_BOUNDS: Tuple[float, float] = (-math.inf, math.inf)
+
+
+def access_bounds(
+    base: int,
+    vector_length: int,
+    stride_elements: int,
+    *,
+    is_scalar: bool = False,
+    indexed: bool = False,
+) -> Tuple[float, float]:
+    """The half-open byte bounds ``(start, end)`` of one access.
+
+    This is the hot-loop form of :func:`access_range`: plain numbers, so the
+    address processor can disambiguate every reference without building a
+    :class:`MemoryRange`.  Two accesses conflict exactly when
+    ``a_start < b_end and b_start < a_end``; indexed references return
+    :data:`ALL_MEMORY_BOUNDS`, which satisfies that test against anything.
+    """
+    if indexed:
+        return ALL_MEMORY_BOUNDS
+    if is_scalar:
+        return base, base + ELEMENT_SIZE_BYTES
+    if vector_length == 0:
+        # A zero-length vector reference touches no memory at all.
+        return base, base
+    span = (vector_length - 1) * stride_elements * ELEMENT_SIZE_BYTES
+    if span >= 0:
+        return base, base + span + ELEMENT_SIZE_BYTES
+    return base + span, base + ELEMENT_SIZE_BYTES
+
+
 def access_range(
     base: int,
     vector_length: int,
@@ -73,23 +109,14 @@ def access_range(
 ) -> MemoryRange:
     """The memory range of one access, from its scalar description.
 
-    This is the hot-loop form of :func:`range_of_access`: the simulators read
-    base/length/stride straight off trace columns instead of a record object.
-    Scalar references cover one element; strided vector references follow the
-    paper's formula; indexed references (gathers/scatters) return
+    Scalar references cover one element; strided vector references follow
+    the paper's formula; indexed references (gathers/scatters) return
     :data:`FULL_RANGE`.
     """
     if indexed:
         return FULL_RANGE
-    if is_scalar:
-        return MemoryRange(base, base + ELEMENT_SIZE_BYTES)
-    if vector_length == 0:
-        # A zero-length vector reference touches no memory at all.
-        return MemoryRange(base, base)
-    span = (vector_length - 1) * stride_elements * ELEMENT_SIZE_BYTES
-    if span >= 0:
-        return MemoryRange(base, base + span + ELEMENT_SIZE_BYTES)
-    return MemoryRange(base + span, base + ELEMENT_SIZE_BYTES)
+    start, end = access_bounds(base, vector_length, stride_elements, is_scalar=is_scalar)
+    return MemoryRange(start, end)
 
 
 def range_of_access(record: DynamicInstruction) -> MemoryRange:

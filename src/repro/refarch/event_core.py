@@ -85,6 +85,10 @@ class _EventReferenceState(_SimulationState):
 
     # -- per-class issue rules -----------------------------------------------------------
 
+    def _advance_dispatch(self, issue_time: int) -> None:
+        self.core.stalls.stall("dispatch", issue_time - self.dispatch_free)
+        self.dispatch_free = issue_time + 1
+
     def _event_scalar(self, info) -> None:
         issue_time = self.scheduler.jump(self.dispatch_free)
         self._advance_dispatch(issue_time)

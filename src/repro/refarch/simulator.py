@@ -1,4 +1,4 @@
-"""Event-driven simulator of the reference vector architecture.
+"""One-pass (tick) simulator of the reference vector architecture.
 
 The machine is in-order and issue-blocking: the dispatcher looks at one
 instruction at a time and cannot move past it until the instruction has
@@ -15,20 +15,23 @@ The timing machinery — the register scoreboard, the functional-unit and
 memory-port pools, stall accounting and the completion horizon — is the
 shared :mod:`repro.engine` kernel; this module contributes only the issue
 rules of the reference machine.  The issue loop runs over the trace's
-columns: per dynamic instruction it reads the precomputed
-:class:`~repro.trace.columns.InstructionInfo` of the static instruction plus
-the vector-length and address columns into locals, so the per-record cost is
-integer indexing rather than attribute access on record objects.  Processing
-the trace once in program order yields exactly the timing a cycle-by-cycle
-simulation would produce, at a small fraction of the cost.
+columns.  Once per run every unique instruction's source and destination
+registers are bound to their
+:class:`~repro.engine.scoreboard.RegisterEntry` objects, so the issue rules
+read and write ``ready``/``chain_start`` directly; per dynamic instruction
+the loop reads the vector-length and address columns into locals, so the
+per-record cost is integer indexing rather than attribute access on record
+objects.  Processing the trace once in program order yields exactly the
+timing a cycle-by-cycle simulation would produce, at a small fraction of
+the cost.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.common.errors import SimulationError
-from repro.engine import MemoryFabric, TimingCore, occupancy_cycles, validate_core
+from repro.engine import MemoryFabric, TimingCore, validate_core
 from repro.isa.registers import ELEMENT_SIZE_BYTES
 from repro.memory.model import MemoryModel
 from repro.refarch.config import ReferenceConfig
@@ -38,6 +41,7 @@ from repro.trace.columns import (
     KIND_SCALAR_MEMORY,
     KIND_VECTOR_COMPUTE,
     KIND_VECTOR_MEMORY,
+    InstructionInfo,
 )
 from repro.trace.record import Trace
 
@@ -111,137 +115,204 @@ class _SimulationState:
         self.vector_instructions = 0
         self.scalar_instructions = 0
 
+    # -- per-run operand binding ------------------------------------------------------------
+
+    def _bind(self, infos: List[InstructionInfo]) -> List[tuple]:
+        """Each unique instruction's issue rule with its registers bound to entries.
+
+        One tuple per unique instruction: ``(kind, may_chain, reads, writes,
+        flag)``.  ``reads`` are the entries of the instruction's sources;
+        ``writes`` the entries its rule writes — paired with their vector
+        flag for vector arithmetic, empty for stores; ``flag`` is
+        ``requires_fu2`` for vector arithmetic, ``is_load`` for vector
+        memory and ``is_store`` for scalar memory.  Exactly the registers
+        each rule touches are bound, so the scoreboard ends the run holding
+        the same entries as on-demand lookups would create.
+        """
+        entry = self.core.scoreboard.entry
+        bound = []
+        for info in infos:
+            kind = info.kind
+            reads = tuple(entry(register) for register in info.sources)
+            flag = False
+            if kind == KIND_VECTOR_COMPUTE:
+                writes = tuple(
+                    (entry(register), is_vector)
+                    for register, is_vector in info.destination_flags
+                )
+                flag = info.requires_fu2
+            else:
+                if kind == KIND_VECTOR_MEMORY:
+                    flag = info.is_load
+                elif kind == KIND_SCALAR_MEMORY:
+                    flag = info.is_store
+                if kind == KIND_QUEUE_MOVE or info.is_store:
+                    writes = ()
+                else:
+                    writes = tuple(entry(register) for register in info.destinations)
+            bound.append((kind, info.may_chain, reads, writes, flag))
+        return bound
+
     # -- main issue loop ---------------------------------------------------------------
 
     def consume(self, trace: Trace) -> None:
         """Issue every dynamic instruction of the trace, in program order.
 
-        One pass over the columns with per-field locals: the static facts of
-        each instruction come from the shared
-        :class:`~repro.trace.columns.InstructionInfo` table, the dynamic
-        facts (VL, base address) from integer column reads.
+        One pass over the columns: the static facts and bound scoreboard
+        entries of each instruction come from :meth:`_bind`, the dynamic
+        facts (VL, base address) from integer column reads, and the
+        dispatcher, the completion horizon, the stall counter and the
+        per-category cycles live in locals written back once at the end.
         """
         columns = trace.columns
-        infos = columns.instruction_infos()
+        bound = self._bind(columns.instruction_infos())
         insn = columns.insn
         lengths = columns.vl
         addresses = columns.addr
-        read = self.core.scoreboard.read
+
+        config = self.config
+        lanes = config.lanes
+        fu_startup = config.functional_unit_startup
+        load_chaining = config.allow_load_chaining
+        memory = self.memory
+        vector_bus_cycles = memory.vector_bus_cycles
+        load_ready = memory.load_ready
+        first_element_arrival = memory.first_element_arrival
+        scalar_bus_cycles = memory.timings.scalar_bus_cycles
+        fu_free = self.fus.free
+        fu_record = tuple(recorder.record for recorder in self.fus.recorders)
+        fabric = self.fabric
+        occupy_bus = fabric.occupy_bus
+        scalar_access_at = fabric.scalar_access_at
+        scalar_load_ready = fabric.scalar_load_ready
+
+        core = self.core
+        horizon = core.horizon
+        dispatch_free = self.dispatch_free
+        dispatch_stalls = 0
+        # Cycles per execution category, and the order the categories first
+        # appear in (the result reports them in that order).
+        scalar_cycles = vector_compute_cycles = vector_memory_cycles = 0
+        scalar_memory_cycles = 0
+        first_seen: List[str] = []
 
         vector_instructions = 0
         for index in range(len(insn)):
-            info = infos[insn[index]]
-            may_chain = info.may_chain
-            earliest = self.dispatch_free
-            for register in info.sources:
-                ready = read(register, allow_chain=may_chain)
-                if ready > earliest:
-                    earliest = ready
+            kind, may_chain, reads, writes, flag = bound[insn[index]]
+            earliest = dispatch_free
+            if may_chain:
+                for entry in reads:
+                    operand = entry.chain_start
+                    if operand is None:
+                        operand = entry.ready
+                    if operand > earliest:
+                        earliest = operand
+            else:
+                for entry in reads:
+                    if entry.ready > earliest:
+                        earliest = entry.ready
 
-            kind = info.kind
             if kind == KIND_VECTOR_COMPUTE:
                 vector_instructions += 1
-                self._issue_vector_compute(info, lengths[index], earliest)
+                length = lengths[index]
+                if length < 1:
+                    length = 1
+                busy = length if lanes == 1 else -(-length // lanes)
+                # FU2 executes everything, FU1 only what does not require
+                # FU2; the least-loaded eligible unit wins, FU1 taking ties.
+                unit = _FU2 if flag or fu_free[_FU1] > fu_free[_FU2] else _FU1
+                issue = fu_free[unit] if fu_free[unit] > earliest else earliest
+                fu_free[unit] = issue + busy
+                fu_record[unit](issue, issue + busy)
+                dispatch_stalls += issue - dispatch_free
+                dispatch_free = issue + 1
+
+                first_element = issue + fu_startup
+                completion = first_element + busy
+                # Scalar results of reductions are not chainable; vector results are.
+                for entry, is_vector in writes:
+                    entry.ready = completion
+                    entry.chain_start = first_element if is_vector else None
+                if not vector_compute_cycles:
+                    first_seen.append("vector_compute")
+                vector_compute_cycles += busy
+
             elif kind == KIND_VECTOR_MEMORY:
                 vector_instructions += 1
-                self._issue_vector_memory(info, lengths[index], addresses[index], earliest)
+                length = lengths[index]
+                bus_cycles = vector_bus_cycles(length)
+                issue, _bus_end = occupy_bus(earliest, bus_cycles, length * ELEMENT_SIZE_BYTES)
+                dispatch_stalls += issue - dispatch_free
+                dispatch_free = issue + 1
+
+                if flag:
+                    completion = load_ready(issue, bus_cycles)
+                    chain_start = first_element_arrival(issue) if load_chaining else None
+                    for entry in writes:
+                        entry.ready = completion
+                        entry.chain_start = chain_start
+                else:
+                    completion = issue + bus_cycles
+                if not vector_memory_cycles:
+                    first_seen.append("vector_memory")
+                vector_memory_cycles += bus_cycles
+
             elif kind == KIND_SCALAR_MEMORY:
-                self._issue_scalar_memory(info, addresses[index], earliest)
+                access = scalar_access_at(addresses[index], flag)
+                if access.uses_port:
+                    issue, _bus_end = occupy_bus(
+                        earliest, scalar_bus_cycles, ELEMENT_SIZE_BYTES
+                    )
+                else:
+                    issue = earliest
+                dispatch_stalls += issue - dispatch_free
+                dispatch_free = issue + 1
+
+                if flag:
+                    completion = issue + 1
+                else:
+                    completion = scalar_load_ready(access, issue)
+                    for entry in writes:
+                        entry.ready = completion
+                        entry.chain_start = None
+                if not scalar_memory_cycles:
+                    first_seen.append("scalar_memory")
+                scalar_memory_cycles += 1
+
             elif kind == KIND_QUEUE_MOVE:
                 raise SimulationError(
                     "queue-move opcodes are internal to the decoupled architecture "
                     "and cannot appear in a reference-architecture trace"
                 )
-            else:
-                self._issue_scalar(info, earliest)
 
+            else:
+                dispatch_stalls += earliest - dispatch_free
+                dispatch_free = completion = earliest + 1
+                for entry in writes:
+                    entry.ready = completion
+                    entry.chain_start = None
+                if not scalar_cycles:
+                    first_seen.append("scalar")
+                scalar_cycles += 1
+
+            if completion > horizon:
+                horizon = completion
+
+        core.horizon = horizon
+        self.dispatch_free = dispatch_free
+        stalls = core.stalls
+        stalls.stall("dispatch", dispatch_stalls)
+        cycles = {
+            "scalar": scalar_cycles,
+            "vector_compute": vector_compute_cycles,
+            "vector_memory": vector_memory_cycles,
+            "scalar_memory": scalar_memory_cycles,
+        }
+        for category in first_seen:
+            stalls.account(category, cycles[category])
         self.instructions = len(insn)
         self.vector_instructions = vector_instructions
         self.scalar_instructions = len(insn) - vector_instructions
-
-    # -- per-class issue rules -----------------------------------------------------------
-
-    def _advance_dispatch(self, issue_time: int) -> None:
-        self.core.stalls.stall("dispatch", issue_time - self.dispatch_free)
-        self.dispatch_free = issue_time + 1
-
-    def _issue_scalar(self, info, earliest: int) -> None:
-        issue_time = earliest
-        self._advance_dispatch(issue_time)
-        completion = issue_time + 1
-        for register in info.destinations:
-            self.core.scoreboard.write(register, completion)
-        self.core.bump(completion)
-        self.core.stalls.account("scalar", 1)
-
-    def _issue_vector_compute(self, info, vector_length: int, earliest: int) -> None:
-        busy = occupancy_cycles(vector_length, self.config.lanes)
-
-        unit = _FU2 if info.requires_fu2 else None
-        issue_time, _unit = self.fus.acquire(earliest, busy, unit=unit)
-        self._advance_dispatch(issue_time)
-
-        startup = self.config.functional_unit_startup
-        first_element = issue_time + startup
-        completion = issue_time + startup + busy
-        write = self.core.scoreboard.write
-        for register, is_vector in info.destination_flags:
-            # Scalar results of reductions are not chainable; vector results are.
-            write(
-                register,
-                completion,
-                chain_start=first_element if is_vector else None,
-            )
-        self.core.bump(completion)
-        self.core.stalls.account("vector_compute", busy)
-
-    def _issue_vector_memory(
-        self, info, vector_length: int, address: int, earliest: int
-    ) -> None:
-        memory = self.memory
-        bus_cycles = memory.vector_bus_cycles(vector_length)
-        traffic = vector_length * ELEMENT_SIZE_BYTES
-        issue_time, bus_end = self.fabric.occupy_bus(earliest, bus_cycles, traffic)
-        self._advance_dispatch(issue_time)
-
-        if info.is_load:
-            completion = memory.load_ready(issue_time, bus_cycles)
-            chain_start = (
-                memory.first_element_arrival(issue_time)
-                if self.config.allow_load_chaining
-                else None
-            )
-            write = self.core.scoreboard.write
-            for register in info.destinations:
-                write(register, completion, chain_start=chain_start)
-            self.core.bump(completion)
-        else:
-            completion = issue_time + bus_cycles
-            self.core.bump(completion)
-        self.core.stalls.account("vector_memory", bus_end - issue_time)
-
-    def _issue_scalar_memory(self, info, address: int, earliest: int) -> None:
-        fabric = self.fabric
-        is_store = info.is_store
-        access = fabric.scalar_access_at(address, is_store)
-
-        if access.uses_port:
-            issue_time, _bus_end = fabric.occupy_bus(
-                earliest, self.memory.timings.scalar_bus_cycles, ELEMENT_SIZE_BYTES
-            )
-        else:
-            issue_time = earliest
-        self._advance_dispatch(issue_time)
-
-        if not is_store:
-            completion = fabric.scalar_load_ready(access, issue_time)
-            write = self.core.scoreboard.write
-            for register in info.destinations:
-                write(register, completion)
-        else:
-            completion = issue_time + 1
-        self.core.bump(completion)
-        self.core.stalls.account("scalar_memory", 1)
 
     # -- wind-down -------------------------------------------------------------------------
 
