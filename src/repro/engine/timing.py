@@ -18,7 +18,7 @@ from repro.isa.registers import Register
 
 
 class TimingCore:
-    """Shared mutable state of one event-driven simulation."""
+    """Shared mutable state of one simulation run (one pass over a trace)."""
 
     def __init__(
         self,
