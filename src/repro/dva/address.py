@@ -167,18 +167,18 @@ class MemoryPipeline:
         low, high = access_bounds(base, vector_length, stride_elements, indexed=indexed)
         self.pending_stores.append(
             PendingStore(
-                key,
-                base,
-                vector_length,
-                stride_elements,
-                indexed,
-                low,
-                high,
-                True,
-                self.memory.vector_bus_cycles(vector_length),
-                vector_length * ELEMENT_SIZE_BYTES,
-                len(self.vsaq.push_times) - 1,
-                push_time + 1,
+                key=key,
+                base=base,
+                length=vector_length,
+                stride_elements=stride_elements,
+                indexed=indexed,
+                low=low,
+                high=high,
+                is_vector=True,
+                bus_cycles=self.memory.vector_bus_cycles(vector_length),
+                traffic_bytes=vector_length * ELEMENT_SIZE_BYTES,
+                address_queue_index=self.vsaq.last_index,
+                address_ready=push_time + 1,
             )
         )
         return push_time
@@ -189,18 +189,18 @@ class MemoryPipeline:
         push_time = self.ssaq.push(requested)
         self.pending_stores.append(
             PendingStore(
-                key,
-                base,
-                1,
-                1,
-                False,
-                base,
-                base + ELEMENT_SIZE_BYTES,
-                False,
-                self.memory.timings.scalar_bus_cycles,
-                ELEMENT_SIZE_BYTES,
-                len(self.ssaq.push_times) - 1,
-                push_time + 1,
+                key=key,
+                base=base,
+                length=1,
+                stride_elements=1,
+                indexed=False,
+                low=base,
+                high=base + ELEMENT_SIZE_BYTES,
+                is_vector=False,
+                bus_cycles=self.memory.timings.scalar_bus_cycles,
+                traffic_bytes=ELEMENT_SIZE_BYTES,
+                address_queue_index=self.ssaq.last_index,
+                address_ready=push_time + 1,
             )
         )
         return push_time
@@ -236,8 +236,6 @@ class MemoryPipeline:
         store.data_ready = data_ready
 
     def _find_pending(self, key: int) -> PendingStore:
-        # The producing QMOV runs right after its store's address was queued,
-        # so the youngest store is the one in practice.
         for store in reversed(self.pending_stores):
             if store.key == key:
                 return store
@@ -310,16 +308,15 @@ class MemoryPipeline:
             requested = max(requested, self._drain_through(conflict_index))
             self.disambiguation_stalls += 1
 
-        fabric = self.fabric
-        access = fabric.scalar_access_at(base, False)
+        access = self.fabric.scalar_access_at(base, False)
         if access.hit:
-            return fabric.scalar_load_ready(access, requested)
+            return self.fabric.scalar_load_ready(access, requested)
 
         self._drain_ready_stores(requested)
-        bus_start, _bus_end = fabric.occupy_bus(
+        bus_start, _bus_end = self.fabric.occupy_bus(
             requested, self.memory.timings.scalar_bus_cycles, ELEMENT_SIZE_BYTES
         )
-        return fabric.scalar_load_ready(access, bus_start)
+        return self.fabric.scalar_load_ready(access, bus_start)
 
     def _bypass_load(self, vector_length: int, requested: int, store: PendingStore) -> int:
         length = max(vector_length, 1)

@@ -105,6 +105,14 @@ _OPS = {
     (_PRIMARY_ADDRESS, _QMOV_S_STORE): _OP_SCALAR_STORE,
 }
 
+#: The register list whose first entry a memory reference's QMOV moves.
+_MOVED_REGISTERS = {
+    _OP_VECTOR_LOAD: "vector_destinations",
+    _OP_VECTOR_STORE: "vector_sources",
+    _OP_SCALAR_LOAD: "scalar_destinations",
+    _OP_SCALAR_STORE: "scalar_sources",
+}
+
 _ADDRESS = Processor.ADDRESS
 _VECTOR = Processor.VECTOR
 _SCALAR = Processor.SCALAR
@@ -271,12 +279,7 @@ class _DecoupledState:
                     writes = tuple(entry(register) for register in info.destinations)
                 else:
                     flag = info.is_indexed
-                    moved_registers = {
-                        _OP_VECTOR_LOAD: info.vector_destinations,
-                        _OP_VECTOR_STORE: info.vector_sources,
-                        _OP_SCALAR_LOAD: info.scalar_destinations,
-                        _OP_SCALAR_STORE: info.scalar_sources,
-                    }[op]
+                    moved_registers = getattr(info, _MOVED_REGISTERS[op])
                     if moved_registers:
                         moved = entry(moved_registers[0])
             queues = tuple(queue_lists[queue_id] for queue_id in targets)

@@ -46,15 +46,12 @@ class ScalarCache:
     def __init__(self, config: Optional[ScalarCacheConfig] = None) -> None:
         self.config = config if config is not None else ScalarCacheConfig()
         self._tags: Dict[int, int] = {}
-        # The geometry of the (frozen) config, held here for the per-access path.
-        self._line_bytes = self.config.line_bytes
-        self._lines = self.config.lines
         self.hits = 0
         self.misses = 0
 
     def _line_index_and_tag(self, address: int) -> tuple[int, int]:
-        line_number = address // self._line_bytes
-        return line_number % self._lines, line_number
+        line_number = address // self.config.line_bytes
+        return line_number % self.config.lines, line_number
 
     def access(self, address: int) -> bool:
         """Perform one scalar access; return ``True`` on a hit.
@@ -63,8 +60,7 @@ class ScalarCache:
         front of the port, not a coherence model, so the distinction does not
         affect timing beyond hit/miss.
         """
-        tag = address // self._line_bytes
-        index = tag % self._lines
+        index, tag = self._line_index_and_tag(address)
         if self._tags.get(index) == tag:
             self.hits += 1
             return True
