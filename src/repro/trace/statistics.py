@@ -10,7 +10,12 @@ Section 7) from a :class:`~repro.trace.record.Trace`.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import sys
+from array import array
 from dataclasses import dataclass, field
+from typing import Dict, Union
 
 from repro.common.stats import Histogram
 from repro.isa.registers import ELEMENT_SIZE_BYTES
@@ -139,3 +144,39 @@ def compute_statistics(trace: Trace) -> TraceStatistics:
     for length, count in histogram_counts.items():
         stats.vector_length_histogram.add(length, count)
     return stats
+
+
+#: The ``ColumnarTrace`` columns :func:`trace_digests` pins, in column order.
+DIGEST_COLUMNS = ("insn", "kind", "seq", "vl", "stride", "addr", "block")
+
+
+def trace_digests(trace: Trace) -> Dict[str, Union[int, str]]:
+    """SHA-256 digests of everything a trace carries, for pinning against a fixture.
+
+    One digest per column (little-endian 64-bit integers, one byte per
+    ``kind``), so a failing comparison names the column that moved; one each
+    for the instruction table (every instruction's ``str``), the block-label
+    table and the region layout (in allocation order, so a reordered layout
+    shows even where no address moves).  The record count and
+    ``blocks_executed`` are kept as plain integers.
+    """
+    columns = trace.columns
+    digests: Dict[str, Union[int, str]] = {
+        "records": len(columns),
+        "blocks_executed": trace.blocks_executed,
+    }
+    for name in DIGEST_COLUMNS:
+        column = getattr(columns, name)
+        if isinstance(column, array) and sys.byteorder == "big":
+            column = array(column.typecode, column)
+            column.byteswap()
+        digests[name] = hashlib.sha256(bytes(column)).hexdigest()
+    digests["instructions"] = _sha256_json([str(insn) for insn in columns.instructions])
+    digests["block_labels"] = _sha256_json(columns.block_labels)
+    digests["regions"] = _sha256_json(list(trace.metadata.get("regions", {}).items()))
+    return digests
+
+
+def _sha256_json(payload) -> str:
+    text = json.dumps(payload, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
