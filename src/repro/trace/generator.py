@@ -3,20 +3,31 @@
 The :class:`TraceBuilder` plays the role of running a Dixie-instrumented
 executable: it walks basic blocks in dynamic order, keeps track of the vector
 length and vector stride registers, lays program data regions out in a flat
-address space, and emits one dynamic record per executed instruction —
-directly into the trace's :class:`~repro.trace.columns.ColumnarTrace`
-columns, with no intermediate record object per instruction.
+address space, and writes each executed block's records straight into the
+trace's :class:`~repro.trace.columns.ColumnarTrace` columns.
+
+A trace replays the same few hundred static instructions thousands of times,
+so everything about a block that does not change between replays — its
+interned instruction indices, opcode-class bytes, strides, vector lengths,
+where its memory references sit and the vector length and stride it leaves
+behind — is worked out once per builder and block, on the block's first
+replay, into a :class:`_BlockPlan`.  Each replay then extends the columns
+with whole arrays and fills in only what depends on the replay: sequence
+numbers, vector lengths inherited from before the block's first ``SET_VL``,
+and the addresses of its memory references.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from array import array
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import TraceError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import BasicBlock
 from repro.isa.registers import ELEMENT_SIZE_BYTES, VECTOR_REGISTER_LENGTH
+from repro.trace.columns import NO_ADDRESS, ColumnarTrace, kind_of
 from repro.trace.record import DynamicInstruction, Trace
 
 #: Version of the trace-generation algorithm.  Any change that alters the
@@ -80,6 +91,104 @@ def _align(value: int, alignment: int) -> int:
     return ((value + alignment - 1) // alignment) * alignment
 
 
+class _BlockPlan:
+    """Everything about one block's records that is the same on every replay.
+
+    ``vl`` is the block's vector-length column with 0 at the ``inherited``
+    positions: vector instructions that execute before the block's first
+    ``SET_VL`` and so run at whatever vector length the block is entered
+    with.  ``references`` lists ``(position, region)`` for every memory
+    reference in instruction order; ``addr`` is the address column with
+    :data:`~repro.trace.columns.NO_ADDRESS` everywhere until a replay fills
+    those positions in.  ``vector_length``/``vector_stride`` are the values
+    the block's last ``SET_VL``/``SET_VS`` leave behind (``None``: the block
+    does not set it).  ``block`` and ``instructions`` are what the plan was
+    built from: keeping the block alive keeps its ``id`` a valid cache key,
+    and the instruction list detects a block that changed since.
+    """
+
+    __slots__ = (
+        "block",
+        "label",
+        "instructions",
+        "insn",
+        "kind",
+        "stride",
+        "vl",
+        "inherited",
+        "references",
+        "addr",
+        "block_ids",
+        "vector_length",
+        "vector_stride",
+    )
+
+    def __init__(
+        self,
+        columns: ColumnarTrace,
+        instructions: Sequence[Instruction],
+        label: str,
+        block: Optional[BasicBlock] = None,
+    ) -> None:
+        vector_length: Optional[int] = None
+        vector_stride: Optional[int] = None
+        vl: List[int] = []
+        inherited: List[int] = []
+        stride: List[int] = []
+        references: List[Tuple[int, str]] = []
+        for position, instruction in enumerate(instructions):
+            opcode = instruction.opcode
+            if opcode is Opcode.SET_VL:
+                immediate = instruction.immediate
+                if immediate is None:
+                    raise TraceError("SET_VL traced without an immediate vector length")
+                if not 0 <= immediate <= VECTOR_REGISTER_LENGTH:
+                    raise TraceError(
+                        f"SET_VL immediate {immediate} outside "
+                        f"[0, {VECTOR_REGISTER_LENGTH}]"
+                    )
+                vector_length = immediate
+            elif opcode is Opcode.SET_VS:
+                if instruction.immediate is None:
+                    raise TraceError("SET_VS traced without an immediate stride")
+                vector_stride = instruction.immediate
+            memory = instruction.memory
+            if memory is None:
+                if instruction.is_memory:
+                    raise TraceError(
+                        f"memory instruction {instruction} traced without a base address"
+                    )
+                stride.append(1)
+            else:
+                references.append((position, memory.region))
+                stride.append(memory.stride if instruction.is_vector_memory else 1)
+            if not instruction.is_vector:
+                vl.append(1)
+            elif vector_length is None:
+                inherited.append(position)
+                vl.append(0)
+            else:
+                vl.append(vector_length)
+
+        # Interning comes after validation, so a rejected block leaves the
+        # trace's tables as they were.
+        count = len(vl)
+        self.block = block
+        self.label = label
+        self.instructions = list(instructions)
+        self.insn = array("q", [columns.intern_instruction(insn) for insn in instructions])
+        self.kind = bytes(kind_of(insn) for insn in instructions)
+        self.stride = array("q", stride)
+        self.vl = array("q", vl)
+        self.inherited = tuple(inherited)
+        self.references = tuple(references)
+        self.addr = array("q", [NO_ADDRESS]) * count
+        # An empty block never interns its label: no record refers to it.
+        self.block_ids = array("q", [columns.intern_block(label)] * count if count else [])
+        self.vector_length = vector_length
+        self.vector_stride = vector_stride
+
+
 class TraceBuilder:
     """Builds a dynamic trace by replaying basic blocks.
 
@@ -89,6 +198,13 @@ class TraceBuilder:
     block's memory references land through ``region_offsets`` — a map from
     region name to an element offset — which is how loop iterations advance
     through their arrays.
+
+    Every block is validated when it is planned, before any of its records
+    is written: a ``SET_VL`` without an immediate or outside
+    ``[0, VECTOR_REGISTER_LENGTH]``, a ``SET_VS`` without an immediate, or a
+    memory instruction without a memory operand raises :class:`TraceError`
+    and appends none of the block's records — the trace, its executed-block
+    count and the vector length and stride registers stay as they were.
     """
 
     def __init__(self, name: str, allocator: Optional[RegionAllocator] = None) -> None:
@@ -97,6 +213,9 @@ class TraceBuilder:
         self._vector_length = VECTOR_REGISTER_LENGTH
         self._vector_stride = 1
         self._sequence = 0
+        # Plans hold indices into this trace's instruction table, so they
+        # are per builder; keyed by block id (the plan keeps the block alive).
+        self._plans: Dict[int, _BlockPlan] = {}
 
     # -- architectural state ---------------------------------------------------
 
@@ -115,11 +234,17 @@ class TraceBuilder:
         block: BasicBlock,
         region_offsets: Optional[Dict[str, int]] = None,
     ) -> None:
-        """Replay one basic block, emitting a dynamic record per instruction."""
-        offsets = region_offsets or {}
+        """Replay one basic block, emitting a dynamic record per instruction.
+
+        The block is planned on its first replay by this builder and
+        re-planned if its label or instruction list changed since.
+        """
+        plan = self._plans.get(id(block))
+        if plan is None or plan.instructions != block.instructions or plan.label != block.label:
+            plan = _BlockPlan(self.trace.columns, block.instructions, block.label, block)
+            self._plans[id(block)] = plan
         self.trace.blocks_executed += 1
-        for instruction in block.instructions:
-            self._append_instruction(instruction, block.label, offsets)
+        self._replay(plan, region_offsets or {})
 
     def append_instruction(
         self,
@@ -127,60 +252,42 @@ class TraceBuilder:
         block_label: str = "",
         region_offsets: Optional[Dict[str, int]] = None,
     ) -> DynamicInstruction:
-        """Emit a single dynamic record outside of block replay."""
-        self._append_instruction(instruction, block_label, region_offsets or {})
+        """Emit a single dynamic record outside of block replay.
+
+        The instruction is planned and replayed as a one-instruction block
+        that is not counted in ``blocks_executed``.
+        """
+        plan = _BlockPlan(self.trace.columns, (instruction,), block_label)
+        self._replay(plan, region_offsets or {})
         return self.trace[len(self.trace) - 1]
 
-    def _append_instruction(
-        self,
-        instruction: Instruction,
-        block_label: str,
-        offsets: Dict[str, int],
-    ) -> None:
-        self._update_control_registers(instruction)
-        self.trace.columns.append(
-            instruction,
-            sequence=self._sequence,
-            block_label=block_label,
-            vector_length=self._effective_length(instruction),
-            stride_elements=self._effective_stride(instruction),
-            base_address=self._effective_address(instruction, offsets),
-        )
-        self._sequence += 1
-
-    def _update_control_registers(self, instruction: Instruction) -> None:
-        if instruction.opcode is Opcode.SET_VL:
-            if instruction.immediate is None:
-                raise TraceError("SET_VL traced without an immediate vector length")
-            if not 0 <= instruction.immediate <= VECTOR_REGISTER_LENGTH:
-                raise TraceError(
-                    f"SET_VL immediate {instruction.immediate} outside "
-                    f"[0, {VECTOR_REGISTER_LENGTH}]"
-                )
-            self._vector_length = instruction.immediate
-        elif instruction.opcode is Opcode.SET_VS:
-            if instruction.immediate is None:
-                raise TraceError("SET_VS traced without an immediate stride")
-            self._vector_stride = instruction.immediate
-
-    def _effective_length(self, instruction: Instruction) -> int:
-        if instruction.is_vector:
-            return self._vector_length
-        return 1
-
-    def _effective_stride(self, instruction: Instruction) -> int:
-        if instruction.memory is not None and instruction.is_vector_memory:
-            return instruction.memory.stride
-        return 1
-
-    def _effective_address(
-        self, instruction: Instruction, offsets: Dict[str, int]
-    ) -> Optional[int]:
-        if instruction.memory is None:
-            return None
-        region = instruction.memory.region
-        offset = offsets.get(region, 0)
-        return self.allocator.address_of(region, offset)
+    def _replay(self, plan: _BlockPlan, offsets: Dict[str, int]) -> None:
+        columns = self.trace.columns
+        start = len(columns.insn)
+        first = self._sequence
+        self._sequence = first + len(plan.insn)
+        columns.insn.extend(plan.insn)
+        columns.kind.extend(plan.kind)
+        columns.seq.extend(range(first, self._sequence))
+        columns.stride.extend(plan.stride)
+        columns.block.extend(plan.block_ids)
+        vl = columns.vl
+        vl.extend(plan.vl)
+        if plan.inherited:
+            incoming = self._vector_length
+            for position in plan.inherited:
+                vl[start + position] = incoming
+        addr = columns.addr
+        addr.extend(plan.addr)
+        if plan.references:
+            address_of = self.allocator.address_of
+            offset_of = offsets.get
+            for position, region in plan.references:
+                addr[start + position] = address_of(region, offset_of(region, 0))
+        if plan.vector_length is not None:
+            self._vector_length = plan.vector_length
+        if plan.vector_stride is not None:
+            self._vector_stride = plan.vector_stride
 
     # -- results -----------------------------------------------------------------
 
