@@ -183,8 +183,10 @@ class _BlockPlan:
         self.inherited = tuple(inherited)
         self.references = tuple(references)
         self.addr = array("q", [NO_ADDRESS]) * count
-        # An empty block never interns its label: no record refers to it.
-        self.block_ids = array("q", [columns.intern_block(label)] * count if count else [])
+        self.block_ids = array("q")
+        if count:
+            # An empty block never interns its label: no record refers to it.
+            self.block_ids = array("q", [columns.intern_block(label)]) * count
         self.vector_length = vector_length
         self.vector_stride = vector_stride
 
