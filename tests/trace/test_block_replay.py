@@ -201,8 +201,8 @@ def test_append_instruction_is_a_one_instruction_block():
 
 def _memory_without_operand():
     instruction = make_instruction(Opcode.S_LOAD, [s_reg(0)], memory=MemoryOperand("g"))
-    # The constructor refuses this combination; a block built from
-    # deserialized or hand-patched instructions is how one reaches the builder.
+    # The constructor refuses this combination, so patch the field to reach
+    # the builder's own check.
     object.__setattr__(instruction, "memory", None)
     return instruction
 
