@@ -2,9 +2,13 @@
 """Regenerate the tick-oracle fixture in tests/engine/tick_oracle.json.
 
 The fixture pins, for every case of the differential fuzz batch (master seed
-20260808, 200 cases), SHA-256 digests of the tick core's ``to_json()``
-payload and of its final scoreboard, or the exact text of the simulation
-error the case raises.  The event core shares the memory pipeline, the timed
+20260808, 200 cases) and for the fixed extra cases below, SHA-256 digests of
+the tick core's ``to_json()`` payload and of its final scoreboard, or the
+exact text of the simulation error the case raises.  The extra cases reach
+memory-path corners the random batch cannot (``tests/engine/
+test_oracle_corners.py`` counts them): a VSAQ deeper than the VADQ, so the
+VADQ fills and forces drains, and scalar stores that queue behind each other
+and write through on cache hits.  The event core shares the memory pipeline, the timed
 queues and the resource pools with the tick core, so the tick-vs-event fuzz
 cannot see a change to those shared layers; this fixture can.
 
@@ -23,9 +27,31 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from repro.core.fuzz import DEFAULT_SEED, case_seed, generate_case, tick_digests  # noqa: E402
+from dataclasses import asdict  # noqa: E402
+
+from repro.core.fuzz import (  # noqa: E402
+    DEFAULT_SEED,
+    FuzzCase,
+    case_seed,
+    generate_case,
+    tick_digests,
+)
 
 CASES = 200
+
+_SHAPE = dict(family="dva", elements=200, max_vector_length=16, invocations=2)
+
+EXTRA_CASES = (
+    FuzzCase(seed=1, kernel="stream_triad", latency=50, lanes=1, ports=1,
+             vector_store_data=1, vector_store_address=16, **_SHAPE),
+    FuzzCase(seed=2, kernel="spill_heavy", latency=7, lanes=2, ports=2, bypass=True,
+             vector_store_data=2, vector_store_address=16, **_SHAPE),
+    FuzzCase(seed=3, kernel="scalar_writeback", latency=50, lanes=1, ports=1,
+             scalar_store_address=1, scalar_store_writes_through=True, **_SHAPE),
+    FuzzCase(seed=4, kernel="scalar_writeback", latency=1, lanes=1, ports=2,
+             scalar_store_address=2, scalar_data=2, scalar_store_writes_through=True,
+             **_SHAPE),
+)
 
 
 def main() -> int:
@@ -36,6 +62,12 @@ def main() -> int:
         digests.append(
             {"index": index, "result": result, "scoreboard": board, "error": error}
         )
+    extra = []
+    for case in EXTRA_CASES:
+        result, board, error = tick_digests(case)
+        extra.append(
+            {"case": asdict(case), "result": result, "scoreboard": board, "error": error}
+        )
 
     destination = os.path.join(
         os.path.dirname(__file__), os.pardir, "tests", "engine", "tick_oracle.json"
@@ -44,8 +76,13 @@ def main() -> int:
     with open(destination, "w") as handle:
         handle.write(f'{{"seed": {DEFAULT_SEED}, "cases": {CASES}, "digests": [\n')
         handle.write(",\n".join(json.dumps(entry) for entry in digests))
+        handle.write('\n], "extra": [\n')
+        handle.write(",\n".join(json.dumps(entry) for entry in extra))
         handle.write("\n]}\n")
-    print(f"wrote {os.path.normpath(destination)} ({len(digests)} cases)")
+    print(
+        f"wrote {os.path.normpath(destination)} "
+        f"({len(digests)} batch cases, {len(extra)} extra cases)"
+    )
     return 0
 
 

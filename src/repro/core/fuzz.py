@@ -73,6 +73,10 @@ class FuzzCase:
     Every field that shapes timing is explicit, so ``describe()`` is a
     complete record of what diverged.  Reference-family cases ignore the
     queue-depth fields; decoupled-family cases ignore ``chaining``.
+    :func:`generate_case` never draws the last two fields, nor kernels
+    outside :data:`KERNELS`; the tick oracle's fixed extra cases set them to
+    reach machines the random batch cannot (a VSAQ deeper than the VADQ,
+    scalar stores that write through).
     """
 
     seed: int
@@ -91,6 +95,8 @@ class FuzzCase:
     vector_store_data: int = 16
     scalar_store_address: int = 16
     scalar_data: int = 256
+    vector_store_address: Optional[int] = None
+    scalar_store_writes_through: bool = False
 
     def describe(self) -> str:
         common = (
@@ -101,12 +107,17 @@ class FuzzCase:
         )
         if self.family == "ref":
             return f"{common} chaining={'on' if self.chaining else 'off'}"
-        return (
+        text = (
             f"{common} bypass={'on' if self.bypass else 'off'} "
             f"iq={self.instruction_queue} avdq={self.vector_load_data} "
             f"vadq={self.vector_store_data} ssaq={self.scalar_store_address} "
             f"sdq={self.scalar_data}"
         )
+        if self.vector_store_address is not None:
+            text += f" vsaq={self.vector_store_address}"
+        if self.scalar_store_writes_through:
+            text += " writes-through"
+        return text
 
     def build_trace(self):
         """The dynamic instruction trace this case simulates."""
@@ -144,8 +155,10 @@ class FuzzCase:
                 vector_store_data=self.vector_store_data,
                 scalar_store_address=self.scalar_store_address,
                 scalar_data=self.scalar_data,
+                vector_store_address=self.vector_store_address,
             ),
             enable_bypass=self.bypass,
+            scalar_store_writes_through=self.scalar_store_writes_through,
             lanes=self.lanes,
             memory_ports=self.ports,
         )

@@ -143,6 +143,33 @@ def spill_heavy(
     )
 
 
+def scalar_writeback(
+    elements: int = 1024,
+    max_vector_length: int = VECTOR_REGISTER_LENGTH,
+    stores: int = 2,
+    invocations: int = 1,
+) -> LoopKernel:
+    """A loop whose scalar side writes ``stores`` results back every strip.
+
+    The scalar stores of one strip go to the same word, so they queue
+    behind each other in the SSAQ and every one after the first hits the
+    line the first allocated in the scalar cache.
+    """
+    return LoopKernel(
+        name="scalar_writeback",
+        elements=elements,
+        max_vector_length=max_vector_length,
+        loads=(VectorStream("x"),),
+        stores=(VectorStream("y"),),
+        fu_any_ops=1,
+        scalar_loads=1,
+        scalar_stores=stores,
+        address_ops=2,
+        scalar_ops=2,
+        invocations=invocations,
+    )
+
+
 def gather_scatter(
     elements: int = 512,
     max_vector_length: int = VECTOR_REGISTER_LENGTH,

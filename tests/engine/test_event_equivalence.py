@@ -14,6 +14,9 @@ Three layers of pinning:
   refuses an event-core request instead of silently ignoring it.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -21,6 +24,7 @@ from repro.core.cli import main as cli_main
 from repro.core.config import RunConfig
 from repro.core.fuzz import (
     DEFAULT_SEED,
+    FuzzCase,
     case_seed,
     generate_case,
     repro_command,
@@ -36,6 +40,9 @@ from repro.workloads.perfect_club import load_program
 #: Cases in the in-tree CI batch; scripts/fuzz_cores.py defaults to 200+.
 CI_CASES = 80
 
+#: The tick oracle's fixed extra cases (memory-path corners the batch misses).
+EXTRA_CASES = json.loads((Path(__file__).parent / "tick_oracle.json").read_text())["extra"]
+
 
 @pytest.mark.parametrize("index", range(CI_CASES))
 def test_fuzzed_case_is_cycle_identical(index):
@@ -44,6 +51,12 @@ def test_fuzzed_case_is_cycle_identical(index):
     assert failure is None, (
         f"{failure}\n  repro: {repro_command(DEFAULT_SEED, index)}"
     )
+
+
+@pytest.mark.parametrize("entry", EXTRA_CASES, ids=lambda entry: str(entry["case"]["seed"]))
+def test_extra_oracle_case_is_cycle_identical(entry):
+    failure = run_case(FuzzCase(**entry["case"]))
+    assert failure is None, failure
 
 
 class TestCoreSelectorPlumbing:

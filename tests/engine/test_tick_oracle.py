@@ -4,8 +4,9 @@ The differential fuzz suite compares the tick core with the event core, but
 both cores drive the same memory pipeline, timed queues, resource pools and
 result assembly, so a change to any of those shared layers moves both cores
 together and the comparison stays green.  ``tick_oracle.json`` closes that
-gap: it pins, for every case of the CI fuzz batch, SHA-256 digests of the
-tick core's ``to_json()`` payload (in its key order) and of its final
+gap: it pins, for every case of the CI fuzz batch and for a few fixed extra
+cases that reach memory-path corners the batch cannot, SHA-256 digests of
+the tick core's ``to_json()`` payload (in its key order) and of its final
 scoreboard, as recorded before the shared layers were last optimized.
 
 A failure here means the tick core's observable behaviour changed.  That is
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.fuzz import DEFAULT_SEED, case_seed, generate_case, tick_digests
+from repro.core.fuzz import DEFAULT_SEED, FuzzCase, case_seed, generate_case, tick_digests
 
 ORACLE_PATH = Path(__file__).parent / "tick_oracle.json"
 ORACLE = json.loads(ORACLE_PATH.read_text())
@@ -33,6 +34,15 @@ def test_fixture_covers_the_ci_fuzz_batch():
 @pytest.mark.parametrize("entry", ORACLE["digests"], ids=lambda entry: str(entry["index"]))
 def test_tick_core_reproduces_the_recorded_digests(entry):
     case = generate_case(case_seed(ORACLE["seed"], entry["index"]))
+    result, board, error = tick_digests(case)
+    assert (result, board, error) == (entry["result"], entry["scoreboard"], entry["error"]), (
+        f"tick core diverged from its recorded outcome\n  case: {case.describe()}"
+    )
+
+
+@pytest.mark.parametrize("entry", ORACLE["extra"], ids=lambda entry: str(entry["case"]["seed"]))
+def test_tick_core_reproduces_the_extra_cases(entry):
+    case = FuzzCase(**entry["case"])
     result, board, error = tick_digests(case)
     assert (result, board, error) == (entry["result"], entry["scoreboard"], entry["error"]), (
         f"tick core diverged from its recorded outcome\n  case: {case.describe()}"

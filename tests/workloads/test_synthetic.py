@@ -43,6 +43,10 @@ class TestFactories:
         kernel = synthetic.spill_heavy(spill_pairs=3)
         assert kernel.vector_spill_pairs == 3
 
+    def test_scalar_writeback_stores_scalars(self):
+        kernel = synthetic.scalar_writeback(stores=3)
+        assert kernel.scalar_stores == 3
+
     def test_gather_scatter_indexed(self):
         kernel = synthetic.gather_scatter()
         assert any(stream.indexed for stream in kernel.loads)
@@ -61,6 +65,7 @@ class TestFactories:
             synthetic.compute_bound,
             synthetic.reduction,
             synthetic.spill_heavy,
+            synthetic.scalar_writeback,
             synthetic.gather_scatter,
             synthetic.strided,
         ],
