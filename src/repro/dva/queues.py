@@ -14,26 +14,20 @@ timestamp arithmetic:
 Entry lifetimes are stored as three parallel timestamp lists rather than one
 object per entry: the simulator pushes into these queues for every dynamic
 instruction, so the columnar layout keeps the hot path to integer list
-operations.  :class:`QueueEntry` remains as a materialized *view* of one
-entry for callers that want named fields.
+operations.  The tick core writes those lists directly for the queues whose
+every entry is popped within the traced instruction that pushed it (the
+instruction queues, the AVDQ and the ASDQ) and syncs the FIFO head with
+:meth:`TimedQueue.released_through` after the run; the store queues, whose
+entries leave when stores drain, go through :meth:`TimedQueue.push` and
+:meth:`TimedQueue.pop`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.timeline import OccupancyTimeline
-
-
-@dataclass
-class QueueEntry:
-    """Lifetime of one element of a timed queue (a view, not the storage)."""
-
-    push_time: int
-    ready_time: int
-    pop_time: Optional[int] = None
 
 
 class TimedQueue:
@@ -111,12 +105,6 @@ class TimedQueue:
         self.pop_times.append(None)
         return len(self.push_times) - 1
 
-    @property
-    def last_index(self) -> int:
-        if not self.push_times:
-            raise SimulationError(f"queue {self.name!r} is empty")
-        return len(self.push_times) - 1
-
     # -- consumer side ----------------------------------------------------------------
 
     def front_index(self) -> int:
@@ -128,18 +116,6 @@ class TimedQueue:
     def front_ready(self) -> int:
         """Ready cycle of the entry at the head of the queue."""
         return self.ready_times[self.front_index()]
-
-    def front(self) -> QueueEntry:
-        """A view of the entry at the head of the queue."""
-        return self.entry(self.front_index())
-
-    def entry(self, index: int) -> QueueEntry:
-        """A view of entry ``index``."""
-        return QueueEntry(
-            push_time=self.push_times[index],
-            ready_time=self.ready_times[index],
-            pop_time=self.pop_times[index],
-        )
 
     def pop(self, requested: int) -> None:
         """Release the entry at the head of the queue at ``requested`` or later.
@@ -163,10 +139,9 @@ class TimedQueue:
     def released_through(self, count: int) -> None:
         """Record that the first ``count`` entries have been popped.
 
-        The counterpart of :meth:`push_at` for consumers that write release
-        cycles into :attr:`pop_times` themselves (the tick core's instruction
-        queues, whose every entry is popped by the processor it was pushed
-        for within the same traced instruction): one call after the run
+        For consumers that write the timestamp lists themselves (the tick
+        core's instruction queues, AVDQ and ASDQ, whose every entry is popped
+        within the traced instruction that pushed it): one call after the run
         brings the FIFO head up to date.
         """
         self._next_pop_index = count

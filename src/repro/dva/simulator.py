@@ -6,10 +6,10 @@ For every traced instruction it advances, in this order, the fetch processor
 executes the instruction itself, and the processor that executes the hidden
 QMOV companion the fetch processor generated for it.  Because every processor
 works through its stream in order and all queues are FIFO, the blocking
-behaviour of the bounded queues reduces to timestamp arithmetic handled by
-:class:`~repro.dva.queues.TimedQueue`, and each issue cycle is the running
-``max`` of the constraints on it — the timing a cycle-stepped simulation
-would give, without stepping cycles.
+behaviour of the bounded queues reduces to timestamp arithmetic on each
+:class:`~repro.dva.queues.TimedQueue`'s push/ready/pop lists, and each issue
+cycle is the running ``max`` of the constraints on it — the timing a
+cycle-stepped simulation would give, without stepping cycles.
 
 The timing machinery — the owner-aware register scoreboard, the per-processor
 issue pointers, the functional-unit/QMOV/port pools, fetch-stall accounting
@@ -23,8 +23,12 @@ operand and destination registers are bound to their
 :class:`~repro.engine.scoreboard.RegisterEntry` objects, so the issue rules
 read and write ``ready``/``chain_start``/``owner`` directly.  The dynamic
 facts — vector length, stride, base address — are integer column reads held
-in locals, as are the processors' issue pointers and the instruction queues'
-timestamp lists.  The decoupling (and its limits) emerge from the
+in locals, as are the processors' issue pointers and the timestamp lists of
+the queues whose entries live within one traced instruction (the three
+instruction queues, the AVDQ and the ASDQ), which the issue rules append to
+directly.  Stores go through the
+:class:`~repro.dva.address.MemoryPipeline`, which keeps its queued stores in
+columns.  The decoupling (and its limits) emerge from the
 timestamps: the address processor is free to run ahead of the vector
 processor because nothing it does waits for vector computation — until it
 meets a full queue, a memory hazard against a queued store, or a scalar
@@ -237,24 +241,23 @@ class _DecoupledState:
     def _bind(self, infos: List[InstructionInfo], routes: List[RouteEntry]) -> List[tuple]:
         """Each unique instruction's issue rule with its registers bound to entries.
 
-        One tuple per unique instruction: ``(op, queues, reads, writes,
-        moved, flag, info)``.  ``queues`` holds the ``(push, ready, pop)``
-        timestamp lists of the instruction queues the fetch processor pushes
-        into; ``reads``/``writes`` are the scoreboard entries the primary
+        One tuple per unique instruction: ``(op, reads, writes, moved, flag,
+        info)``.  ``reads``/``writes`` are the scoreboard entries the primary
         rule reads and writes (``writes`` pairs each entry with its
         vector flag on the VP); ``moved`` is the entry the QMOV companion of
         a memory reference moves — written by loads, read by stores — or
         ``None`` when the instruction names no such register; ``flag`` is
         ``requires_fu2`` on the VP and ``is_indexed`` for memory references.
-        Exactly the registers each rule touches are bound, so the scoreboard
-        ends the run holding the same entries as on-demand lookups would
-        create.  Entries are per run, so the binding is too; the routing it
-        starts from is cached on the trace.
+        The instruction queues an instruction enters follow from ``op``
+        alone, so the rules push into them without a binding.  Exactly the
+        registers each rule touches are bound, so the scoreboard ends the run
+        holding the same entries as on-demand lookups would create.  Entries
+        are per run, so the binding is too; the routing it starts from is
+        cached on the trace.
         """
         entry = self.core.scoreboard.entry
-        queue_lists = [(q.push_times, q.ready_times, q.pop_times) for q in self._iqs]
         bound = []
-        for info, (primary, qmov, targets) in zip(infos, routes):
+        for info, (primary, qmov, _targets) in zip(infos, routes):
             op = _OPS[primary, qmov]
             reads: tuple = ()
             writes: tuple = ()
@@ -282,8 +285,7 @@ class _DecoupledState:
                     moved_registers = getattr(info, _MOVED_REGISTERS[op])
                     if moved_registers:
                         moved = entry(moved_registers[0])
-            queues = tuple(queue_lists[queue_id] for queue_id in targets)
-            bound.append((op, queues, reads, writes, moved, flag, info))
+            bound.append((op, reads, writes, moved, flag, info))
         return bound
 
     # -- main loop ------------------------------------------------------------------------
@@ -295,11 +297,19 @@ class _DecoupledState:
         come from :meth:`_bind`, dynamic facts (VL, stride, base address)
         are integer column reads, and the processors' issue pointers, the
         completion horizon and the counters live in locals written back once
-        at the end.  Every instruction-queue entry is popped by the processor
-        it was pushed for within the same traced instruction, so each pop is
-        a store to the last slot of the queue's pop list, and the entry
-        ``capacity`` places back — the one a push waits for — has always been
-        released.
+        at the end.
+
+        Every entry of the instruction queues, the AVDQ and the ASDQ is
+        popped within the traced instruction that pushed it, so the rules
+        write those queues' timestamp lists directly: a push appends the
+        push cycle, the issuing processor appends the pop cycle, and the
+        entry ``capacity`` places back — the one a push waits for — has
+        always been released.  Instruction-queue ready cycles (push + 1) are
+        filled in once after the loop.  A full APIQ/VPIQ/SPIQ holds the
+        fetch processor and a full AVDQ holds the AP; a full ASDQ only
+        records its push late (the AP goes on).  The store queues keep their
+        :class:`~repro.dva.queues.TimedQueue` methods: their entries leave
+        when stores drain, long after the push.
         """
         columns = trace.columns
         bound = self._bind(columns.instruction_infos(), _routing_table(columns))
@@ -314,8 +324,11 @@ class _DecoupledState:
         qmov_startup = config.queue_move_startup
         lanes = config.lanes
         iq_capacity = config.queues.instruction_queue
+        ap_pushes = self.apiq.push_times
         ap_pops = self.apiq.pop_times
+        vp_pushes = self.vpiq.push_times
         vp_pops = self.vpiq.pop_times
+        sp_pushes = self.spiq.push_times
         sp_pops = self.spiq.pop_times
 
         fus = self.resources.fus
@@ -326,7 +339,6 @@ class _DecoupledState:
         qmov_record = tuple(recorder.record for recorder in qmovs.recorders)
 
         memory = self.memory
-        reserve_load_slot = memory.reserve_load_data_slot
         issue_vector_load = memory.issue_vector_load
         issue_scalar_load = memory.issue_scalar_load
         enqueue_vector_store = memory.enqueue_vector_store
@@ -334,48 +346,41 @@ class _DecoupledState:
         reserve_store_slot = memory.reserve_vector_store_data_slot
         attach_vector_store_data = memory.attach_vector_store_data
         attach_scalar_store_data = memory.attach_scalar_store_data
-        avdq_push = memory.avdq.push
-        avdq_pop = memory.avdq.pop
-        asdq_push = memory.asdq.push
-        asdq_pop = memory.asdq.pop
+        avdq_capacity = memory.avdq.capacity
+        avdq_pushes = memory.avdq.push_times
+        avdq_readies = memory.avdq.ready_times
+        avdq_pops = memory.avdq.pop_times
+        asdq_capacity = memory.asdq.capacity
+        asdq_pushes = memory.asdq.push_times
+        asdq_readies = memory.asdq.ready_times
+        asdq_pops = memory.asdq.pop_times
 
         core = self.core
         horizon = core.horizon
-        fp_time = self.fp.free[0]
+        fp_time = fp_start = self.fp.free[0]
         ap_time = self.ap.free[0]
         vp_time = self.vp.free[0]
         sp_time = self.sp.free[0]
-        fetch_stalls = 0
         ap_count = vp_count = sp_count = 0
         vector_loads = vector_stores = 0
 
         for index in range(len(insn)):
-            op, queues, reads, writes, moved, flag, info = bound[insn[index]]
+            op, reads, writes, moved, flag, info = bound[insn[index]]
 
             # Fetch: translate and distribute.  The push cycle is the first
-            # cycle every target queue can accept an entry.
+            # cycle every target instruction queue can accept an entry; the
+            # rule's route fixes the targets.  The FP moves on one cycle
+            # after the push, so its stalls are its final issue pointer less
+            # one cycle per instruction.
             push_time = fp_time
-            for pushes, _readies, pops in queues:
-                depth = len(pushes)
-                if depth >= iq_capacity:
-                    blocking = pops[depth - iq_capacity]
-                    if blocking > push_time:
-                        push_time = blocking
-            if push_time > fp_time:
-                fetch_stalls += push_time - fp_time
-            ready = fp_time = push_time + 1
-            for pushes, readies, pops in queues:
-                pushes.append(push_time)
-                readies.append(ready)
-                pops.append(None)
-            if ready > horizon:
-                horizon = ready
-
-            if op == _OP_FETCH:
-                # Consumed during translation, nothing further.
-                continue
 
             if op == _OP_VECTOR:
+                depth = len(vp_pushes)
+                if depth >= iq_capacity and vp_pops[depth - iq_capacity] > push_time:
+                    push_time = vp_pops[depth - iq_capacity]
+                vp_pushes.append(push_time)
+                ready = fp_time = push_time + 1
+
                 vp_count += 1
                 start = vp_time if vp_time > ready else ready
                 for entry in reads:
@@ -398,7 +403,7 @@ class _DecoupledState:
                     start = fu_free[unit]
                 fu_free[unit] = start + busy
                 fu_record[unit](start, start + busy)
-                vp_pops[-1] = start
+                vp_pops.append(start)
                 vp_time = start + 1
                 chain = start + fu_startup
                 completion = chain + busy
@@ -411,24 +416,52 @@ class _DecoupledState:
                 continue
 
             if op == _OP_SCALAR:
+                depth = len(sp_pushes)
+                if depth >= iq_capacity and sp_pops[depth - iq_capacity] > push_time:
+                    push_time = sp_pops[depth - iq_capacity]
+                sp_pushes.append(push_time)
+                ready = fp_time = push_time + 1
+
                 sp_count += 1
                 start = sp_time if sp_time > ready else ready
                 for entry in reads:
                     operand = entry.ready if entry.owner is _SCALAR else entry.ready + cross
                     if operand > start:
                         start = operand
-                sp_pops[-1] = start
+                sp_pops.append(start)
                 sp_time = completion = start + 1
                 for entry in writes:
                     entry.ready = completion
                     entry.chain_start = None
                     entry.owner = _SCALAR
-                if completion > horizon:
-                    horizon = completion
+                continue
+
+            if op == _OP_FETCH:
+                # Consumed during translation, nothing further.
+                fp_time += 1
                 continue
 
             # The address processor: address arithmetic, AP-resolved branches
-            # and the address half of every memory reference.
+            # and the address half of every memory reference, whose QMOV
+            # companion enters the VPIQ (vector) or the SPIQ (scalar).
+            depth = len(ap_pushes)
+            if depth >= iq_capacity and ap_pops[depth - iq_capacity] > push_time:
+                push_time = ap_pops[depth - iq_capacity]
+            if op == _OP_ADDRESS:
+                pass
+            elif op <= _OP_VECTOR_STORE:
+                depth = len(vp_pushes)
+                if depth >= iq_capacity and vp_pops[depth - iq_capacity] > push_time:
+                    push_time = vp_pops[depth - iq_capacity]
+                vp_pushes.append(push_time)
+            else:
+                depth = len(sp_pushes)
+                if depth >= iq_capacity and sp_pops[depth - iq_capacity] > push_time:
+                    push_time = sp_pops[depth - iq_capacity]
+                sp_pushes.append(push_time)
+            ap_pushes.append(push_time)
+            ready = fp_time = push_time + 1
+
             ap_count += 1
             start = ap_time if ap_time > ready else ready
             for entry in reads:
@@ -438,32 +471,27 @@ class _DecoupledState:
 
             if op == _OP_ADDRESS:
                 # Address arithmetic and AP-resolved branches take one cycle.
-                ap_pops[-1] = start
+                ap_pops.append(start)
                 ap_time = finish = start + 1
                 for entry in writes:
                     entry.ready = finish
                     entry.chain_start = None
                     entry.owner = _ADDRESS
-                if finish > horizon:
-                    horizon = finish
                 continue
 
             length = lengths[index]
             if op == _OP_VECTOR_LOAD:
                 vector_loads += 1
-                slot = reserve_load_slot(start)
-                if slot > start:
-                    start = slot
+                depth = len(avdq_pushes)
+                if depth >= avdq_capacity and avdq_pops[depth - avdq_capacity] > start:
+                    start = avdq_pops[depth - avdq_capacity]
                 data_ready = issue_vector_load(
                     addresses[index], length, strides[index], flag, start
                 )
-                avdq_push(start, data_ready)
-                ap_pops[-1] = start
+                avdq_pushes.append(start)
+                avdq_readies.append(data_ready)
+                ap_pops.append(start)
                 ap_time = start + 1
-                if data_ready > horizon:
-                    horizon = data_ready
-                if ap_time > horizon:
-                    horizon = ap_time
 
                 # QMOV on the VP: AVDQ → vector register.  The load's own
                 # entry is the AVDQ head (every earlier entry was popped by
@@ -479,9 +507,9 @@ class _DecoupledState:
                     start = qmov_free[unit]
                 end = qmov_free[unit] = start + length
                 qmov_record[unit](start, end)
-                vp_pops[-1] = start
+                vp_pops.append(start)
                 vp_time = start + 1
-                avdq_pop(end)
+                avdq_pops.append(end)
                 if moved is None:
                     raise SimulationError(
                         f"vector load without a vector destination: {info.instruction}"
@@ -497,10 +525,8 @@ class _DecoupledState:
                 push = enqueue_vector_store(
                     index, addresses[index], length, strides[index], flag, start
                 )
-                ap_pops[-1] = start
+                ap_pops.append(start)
                 ap_time = (push if push > start else start) + 1
-                if ap_time > horizon:
-                    horizon = ap_time
 
                 # QMOV on the VP: vector register → VADQ.
                 vp_count += 1
@@ -527,7 +553,7 @@ class _DecoupledState:
                     start = qmov_free[unit]
                 data_ready = qmov_free[unit] = start + length
                 qmov_record[unit](start, data_ready)
-                vp_pops[-1] = start
+                vp_pops.append(start)
                 vp_time = start + 1
                 attach_vector_store_data(index, start, data_ready)
                 if data_ready > horizon:
@@ -535,13 +561,14 @@ class _DecoupledState:
 
             elif op == _OP_SCALAR_LOAD:
                 data_ready = issue_scalar_load(addresses[index], start)
-                asdq_push(start, data_ready)
-                ap_pops[-1] = start
+                depth = len(asdq_pushes)
+                if depth >= asdq_capacity and asdq_pops[depth - asdq_capacity] > start:
+                    asdq_pushes.append(asdq_pops[depth - asdq_capacity])
+                else:
+                    asdq_pushes.append(start)
+                asdq_readies.append(data_ready)
+                ap_pops.append(start)
                 ap_time = start + 1
-                if data_ready > horizon:
-                    horizon = data_ready
-                if ap_time > horizon:
-                    horizon = ap_time
 
                 # QMOV on the SP: ASDQ → scalar register; the load's own
                 # entry is the ASDQ head.
@@ -549,22 +576,18 @@ class _DecoupledState:
                 start = sp_time if sp_time > ready else ready
                 if data_ready > start:
                     start = data_ready
-                sp_pops[-1] = start
+                sp_pops.append(start)
                 sp_time = completion = start + 1
-                asdq_pop(completion)
+                asdq_pops.append(completion)
                 if moved is not None:
                     moved.ready = completion
                     moved.chain_start = None
                     moved.owner = _SCALAR
-                if completion > horizon:
-                    horizon = completion
 
             else:
                 push = enqueue_scalar_store(index, addresses[index], start)
-                ap_pops[-1] = start
+                ap_pops.append(start)
                 ap_time = (push if push > start else start) + 1
-                if ap_time > horizon:
-                    horizon = ap_time
 
                 # QMOV on the SP: scalar register → SADQ.
                 sp_count += 1
@@ -573,19 +596,27 @@ class _DecoupledState:
                     operand = moved.ready if moved.owner is _SCALAR else moved.ready + cross
                     if operand > start:
                         start = operand
-                sp_pops[-1] = start
+                sp_pops.append(start)
                 sp_time = completion = start + 1
                 attach_scalar_store_data(index, start, completion)
-                if completion > horizon:
-                    horizon = completion
 
-        core.horizon = horizon
-        core.stalls.stall("fetch", fetch_stalls)
+        # The FP, AP and SP issue pointers only grow, and each one passed the
+        # completion or data-ready cycle of everything its rules finished
+        # (a scalar load's data arrives before its QMOV completes), so their
+        # final values stand for all of those horizon updates.
+        core.horizon = max(horizon, fp_time, ap_time, sp_time)
+        core.stalls.stall("fetch", fp_time - fp_start - len(insn))
         self.fp.free[0] = fp_time
         self.ap.free[0] = ap_time
         self.vp.free[0] = vp_time
         self.sp.free[0] = sp_time
         for queue in self._iqs:
+            pushes = queue.push_times
+            queue.ready_times.extend(
+                [push_time + 1 for push_time in pushes[len(queue.ready_times):]]
+            )
+            queue.released_through(len(pushes))
+        for queue in (memory.avdq, memory.asdq):
             queue.released_through(len(queue.push_times))
         self.fp_count += len(insn)
         self.ap_count += ap_count
