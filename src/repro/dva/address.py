@@ -278,8 +278,7 @@ class MemoryPipeline:
         (operands available, AVDQ slot reserved).  Returns the cycle the
         load's last element is available in the AVDQ.
         """
-        lows = self.store_lows
-        if self._next_undrained < len(lows):
+        if self._next_undrained < len(self.store_lows):
             low, high = access_bounds(base, vector_length, stride_elements, indexed=indexed)
             conflict = self._youngest_conflict(low, high)
             if conflict >= 0:
@@ -299,8 +298,7 @@ class MemoryPipeline:
                 if drained > requested:
                     requested = drained
                 self.disambiguation_stalls += 1
-            if self._next_undrained < len(lows):
-                self._drain_ready_stores(requested)
+            self._drain_ready_stores(requested)
 
         cycles = (vector_length if vector_length > 1 else 1) * self._bus_cycles_per_element
         bus_start = self._occupy_port(requested, cycles, vector_length * ELEMENT_SIZE_BYTES)
@@ -308,8 +306,7 @@ class MemoryPipeline:
 
     def issue_scalar_load(self, base: int, requested: int) -> int:
         """Service a scalar load through the cache; return its data-ready cycle."""
-        queued = self._next_undrained < len(self.store_lows)
-        if queued:
+        if self._next_undrained < len(self.store_lows):
             conflict = self._youngest_conflict(base, base + ELEMENT_SIZE_BYTES)
             if conflict >= 0:
                 drained = self._drain_through(conflict)
@@ -320,7 +317,7 @@ class MemoryPipeline:
         if self.fabric.scalar_access_at(base, False).hit:
             return requested + self._hit_latency
 
-        if queued and self._next_undrained < len(self.store_lows):
+        if self._next_undrained < len(self.store_lows):
             self._drain_ready_stores(requested)
         bus_start = self._occupy_port(requested, self._scalar_bus_cycles, ELEMENT_SIZE_BYTES)
         return bus_start + 1 + self._latency
