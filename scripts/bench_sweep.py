@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Benchmark the sweep runner and record the result in BENCH_sweep.json.
 
-Two benchmarks, one report:
+Three benchmarks, one report:
 
 1. **Runner modes** — times a small REF+DVA sweep (two programs, three
    latencies) on a serial runner (``jobs=1``) and on a ``jobs=N`` runner.
@@ -26,13 +26,6 @@ Two benchmarks, one report:
    assembled) and warm (everything answered by the store; no workers
    spawned at all).  Per-worker claim/steal/complete counters land in the
    report, so the split of work between the two processes is visible.
-
-4. **Timing cores** (``event_core``) — the latency-100 cells of the same
-   grid on the tick core and on the event-driven skip-ahead core
-   (``--core event``), serial and pooled, cold and warm, with the
-   tick-vs-event cells/sec ratio and a ``cycles_identical`` flag.  The
-   tick core is one-pass and latency-independent, so these rows record
-   the honest overhead of the event control flow, not a speedup.
 
 Before overwriting the output file, the previous report's serial
 cold/warm cells-per-second are captured into a ``baseline_comparison``
@@ -68,15 +61,13 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from repro import ResultStore, RunConfig, Runner, SweepSpec  # noqa: E402
+from repro import ResultStore, Runner, SweepSpec  # noqa: E402
 from repro.workloads.perfect_club import program_names  # noqa: E402
 
 
-def _timed_run(
-    label: str, runner: Runner, spec: SweepSpec, config: "RunConfig | None" = None
-) -> dict:
+def _timed_run(label: str, runner: Runner, spec: SweepSpec) -> dict:
     start = time.perf_counter()
-    sweep = runner.run(spec, config=config)
+    sweep = runner.run(spec)
     elapsed = time.perf_counter() - start
     cells = len(sweep)
     return {
@@ -89,10 +80,7 @@ def _timed_run(
 
 
 def _time_runners(
-    runners: "dict[str, Runner]",
-    spec: SweepSpec,
-    repeats: int,
-    config: "RunConfig | None" = None,
+    runners: "dict[str, Runner]", spec: SweepSpec, repeats: int
 ) -> list:
     """Time ``repeats`` executions per runner, interleaved round-robin.
 
@@ -105,7 +93,7 @@ def _time_runners(
     for index in range(repeats):
         for label, runner in runners.items():
             row = _timed_run(
-                label if index == 0 else f"{label}_warm", runner, spec, config
+                label if index == 0 else f"{label}_warm", runner, spec
             )
             if index == 0:
                 rows.append(row)
@@ -217,57 +205,6 @@ def _bench_cluster(spec: SweepSpec, workers: int) -> dict:
         "worker_processes_spawned": workers,
         "runs": [cold, warm],
         "per_worker": worker_rows,
-    }
-
-
-def _bench_event_core(scale: float, jobs: int, repeats: int) -> dict:
-    """Tick-vs-event throughput on the latency-100 cells, cold and warm.
-
-    Both cores run the same high-latency grid (no store, so every cell is
-    simulated) serially and with a ``jobs``-worker pool, interleaved like
-    the runner-mode benchmark.  The numbers are reported honestly: the tick
-    core is one-pass timestamp arithmetic and already latency-independent,
-    so the event core's wakeup heap is pure overhead on this workload —
-    parity, not speedup, is the expectation.  Its value is the differential
-    harness and the per-resource skip-span attribution, not throughput.
-    """
-    spec = SweepSpec.from_strings(
-        programs="dyfesm,trfd",
-        latencies="100",
-        architectures="ref,dva",
-        scale=scale,
-    )
-    rows = []
-    for core in ("tick", "event"):
-        with Runner(jobs=1) as serial, Runner(jobs=jobs) as parallel:
-            rows.extend(
-                _time_runners(
-                    {f"{core}_serial": serial, f"{core}_jobs{jobs}": parallel},
-                    spec,
-                    repeats,
-                    config=RunConfig(core=core),
-                )
-            )
-    by_label = {row["label"]: row for row in rows}
-    tick = by_label.get("tick_serial_warm", by_label["tick_serial"])
-    event = by_label.get("event_serial_warm", by_label["event_serial"])
-    identical = (
-        tick["total_cycles_simulated"] == event["total_cycles_simulated"]
-    )
-    return {
-        "benchmark": "tick vs event timing core (latency-100 cells, storeless)",
-        "note": (
-            "tick is one-pass and latency-independent, so the event core's "
-            "wakeup heap cannot beat it on wall clock; the ratio below "
-            "records the honest overhead of the event control flow"
-        ),
-        "runs": rows,
-        "cycles_identical": identical,
-        "event_over_tick_serial_warm": round(
-            event["cells_per_second"] / tick["cells_per_second"], 2
-        )
-        if tick["cells_per_second"] and event["cells_per_second"]
-        else None,
     }
 
 
@@ -397,7 +334,6 @@ def main() -> int:
         ),
         "store": _bench_store(args.scale),
         "cluster": _bench_cluster(spec, args.cluster_workers),
-        "event_core": _bench_event_core(args.scale, args.jobs, args.repeats),
     }
     comparison = _baseline_comparison(previous, runs)
     if comparison is not None:
@@ -413,12 +349,7 @@ def main() -> int:
         f"worker processes coordinating through the store on {cpus} CPU(s)"
     )
     print()
-    all_runs = (
-        runs
-        + report["store"]["runs"]
-        + report["cluster"]["runs"]
-        + report["event_core"]["runs"]
-    )
+    all_runs = runs + report["store"]["runs"] + report["cluster"]["runs"]
     for run in all_runs:
         print(f"{run['label']:28s} {run['seconds']:8.4f}s  "
               f"{run['cells_per_second']} cells/s")
@@ -431,11 +362,6 @@ def main() -> int:
         for row in report["cluster"]["per_worker"]
     )
     print(f"cluster work split (cells completed): {split}")
-    print(
-        f"event core vs tick (serial warm, latency 100): "
-        f"{report['event_core']['event_over_tick_serial_warm']}x, "
-        f"cycles identical: {report['event_core']['cycles_identical']}"
-    )
     if comparison is not None:
         print(
             f"serial speedup over previous report: "

@@ -1,16 +1,14 @@
 #!/usr/bin/env python
 """Regenerate the tick-oracle fixture in tests/engine/tick_oracle.json.
 
-The fixture pins, for every case of the differential fuzz batch (master seed
+The fixture pins, for every case of the seeded random batch (master seed
 20260808, 200 cases) and for the fixed extra cases below, SHA-256 digests of
-the tick core's ``to_json()`` payload and of its final scoreboard, or the
+the simulator's ``to_json()`` payload and of its final scoreboard, or the
 exact text of the simulation error the case raises.  The extra cases reach
 memory-path corners the random batch cannot (``tests/engine/
 test_oracle_corners.py`` counts them): a VSAQ deeper than the VADQ, so the
 VADQ fills and forces drains, and scalar stores that queue behind each other
-and write through on cache hits.  The event core shares the memory pipeline, the timed
-queues and the resource pools with the tick core, so the tick-vs-event fuzz
-cannot see a change to those shared layers; this fixture can.
+and write through on cache hits.
 
 Like the golden snapshot it must NOT be regenerated casually: regenerate only
 when a deliberate, reviewed timing-model change makes the old digests wrong

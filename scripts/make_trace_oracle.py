@@ -2,7 +2,7 @@
 """Regenerate the trace-oracle fixture in tests/trace/trace_oracle.json.
 
 The fixture pins, for the six Perfect Club program models at scales 1.0 and
-0.25 and for the trace of every case of the differential fuzz batch (master
+0.25 and for the trace of every case of the seeded random batch (master
 seed 20260808, 200 cases), the digests :func:`repro.trace.statistics.trace_digests`
 takes: one SHA-256 per trace column, the instruction table, the block labels
 and the region layout, plus the record and executed-block counts.  The tick

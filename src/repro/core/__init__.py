@@ -42,8 +42,6 @@ from repro.core.experiment import (
 )
 from repro.core.machine import PRESETS, FieldInfo, MachineSpec, Preset
 from repro.core.registry import (
-    DecoupledArchitecture,
-    ReferenceArchitecture,
     Simulator,
     SpecArchitecture,
     architecture,
@@ -60,13 +58,11 @@ from repro.store import ResultStore, cell_key
 
 __all__ = [
     "CellProgress",
-    "DecoupledArchitecture",
     "Experiment",
     "FieldInfo",
     "MachineSpec",
     "PRESETS",
     "Preset",
-    "ReferenceArchitecture",
     "ResultStore",
     "RunConfig",
     "RunResult",

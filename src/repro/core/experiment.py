@@ -398,11 +398,11 @@ class TraceCache:
 def _restore_provenance(found: RunResult, simulator: Simulator) -> RunResult:
     """A store hit relabelled with the *requesting* cell's provenance.
 
-    Cell keys are timing-core-invariant (see :mod:`repro.store.keys`), so a
-    hit may have been written by a cell whose label or spec pins a different
-    core (``dva`` vs ``dva@core=event``).  The numbers are identical by the
-    equivalence contract; only the provenance strings need to match the cell
-    that asked, or a core-axis sweep would see duplicate labels.
+    Stores written while the simulators still had a ``core`` selector may
+    hold entries from core-pinned cells (``dva@core=event``).  Such cells
+    were keyed with the pin stripped, so they hit under the plain cell's key
+    with identical numbers; only the provenance strings need to match the
+    cell that asked.
     """
     spec = getattr(simulator, "spec", None)
     expected_spec = spec.to_json() if spec is not None else None

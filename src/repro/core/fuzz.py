@@ -1,26 +1,17 @@
-"""Differential fuzzing of the tick and event timing cores.
+"""Seeded random (machine, program, latency) cases for the tick oracle.
 
-The two timing cores (:mod:`repro.engine.events` explains the inversion)
-promise *cycle identity*: for any trace and any machine, the event-driven
-skip-ahead core must produce exactly the result the one-pass tick oracle
-produces — same total cycles, same per-category stall counters, same final
-scoreboard — or raise exactly the same error.  This module generates random
-(machine, program, latency) cases and checks that promise, one case at a
-time.
-
-Everything here is deterministic in the seed: :func:`case_seed` derives one
-case seed per index from a master seed, :func:`generate_case` expands a case
-seed into a fully-described :class:`FuzzCase`, and :func:`run_case` runs the
-case on both cores and reports the first divergence (or ``None``).  The CI
-batch in ``tests/engine/test_event_equivalence.py`` and the standalone
-driver ``scripts/fuzz_cores.py`` both build on these three functions, so a
-CI failure always comes with a one-line repro command.
+``tests/engine/tick_oracle.json`` pins each simulator's outcome on a batch
+of random cases; this module generates that batch.  Everything here is
+deterministic in the seed: :func:`case_seed` derives one case seed per index
+from a master seed, :func:`generate_case` expands a case seed into a
+fully-described :class:`FuzzCase`, and :func:`tick_digests` runs a case and
+digests its outcome, so a mismatch always names a reproducible case.
 
 The harness deliberately instantiates the simulation *states* directly
 (rather than going through :class:`~repro.core.registry.SpecArchitecture`)
-so it can compare the final scoreboard — internal machine state the public
-result does not carry.  Results are still compared via ``to_json()``, the
-exact payload the store persists.
+so it can pin the final scoreboard — internal machine state the public
+result does not carry.  Results are pinned via ``to_json()``, the exact
+payload the store persists.
 """
 
 from __future__ import annotations
@@ -61,14 +52,14 @@ def case_seed(master: int, index: int) -> int:
     """The per-case seed derived from a master seed and a case index.
 
     A multiplicative hash keeps neighbouring indices uncorrelated while
-    staying trivially recomputable from the repro command's two integers.
+    staying trivially recomputable from the two integers.
     """
     return (master * 1_000_003 + index) & 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
 class FuzzCase:
-    """One fully-described differential test case.
+    """One fully-described oracle test case.
 
     Every field that shapes timing is explicit, so ``describe()`` is a
     complete record of what diverged.  Reference-family cases ignore the
@@ -129,7 +120,7 @@ class FuzzCase:
         )
         model = ProgramModel(
             name=f"fuzz-{self.seed}",
-            description="differential fuzz case",
+            description="oracle case",
             schedules=(KernelSchedule(kernel, 1),),
             targets=ProgramTargets(),
             prologue_scalar_instructions=8,
@@ -163,27 +154,18 @@ class FuzzCase:
             memory_ports=self.ports,
         )
 
-    def _state_class(self, core: str):
-        if self.family == "ref":
-            from repro.refarch.event_core import _EventReferenceState
-            from repro.refarch.simulator import _SimulationState
-
-            return _EventReferenceState if core == "event" else _SimulationState
-        from repro.dva.event_core import _EventDecoupledState
-        from repro.dva.simulator import _DecoupledState
-
-        return _EventDecoupledState if core == "event" else _DecoupledState
-
-    def simulate(self, core: str, trace=None):
-        """Run this case on one core.
+    def simulate(self):
+        """Run this case.
 
         Returns ``(result_json, scoreboard_snapshot, error_message)``; on a
         :class:`SimulationError` the first two are ``None`` and the message
-        carries the exact error text (the cores must raise identically).
+        carries the exact error text.
         """
-        if trace is None:
-            trace = self.build_trace()
-        state_class = self._state_class(core)
+        trace = self.build_trace()
+        if self.family == "ref":
+            from repro.refarch.simulator import _SimulationState as state_class
+        else:
+            from repro.dva.simulator import _DecoupledState as state_class
         state = state_class(MemoryModel(latency=self.latency), self.build_config())
         try:
             state.consume(trace)
@@ -203,7 +185,7 @@ def _scoreboard_snapshot(state) -> List[Tuple[str, int, Optional[int], str]]:
 
 
 def tick_digests(case: FuzzCase) -> Tuple[Optional[str], Optional[str], Optional[str]]:
-    """SHA-256 digests of one case's tick-core outcome, for pinning against a fixture.
+    """SHA-256 digests of one case's outcome, for pinning against a fixture.
 
     Returns ``(result_digest, scoreboard_digest, error_message)``.  The result
     digest covers ``to_json()`` serialized in its own key order, so a
@@ -211,7 +193,7 @@ def tick_digests(case: FuzzCase) -> Tuple[Optional[str], Optional[str], Optional
     would; on a :class:`SimulationError` both digests are ``None`` and the
     exact error text is returned instead.
     """
-    result, board, error = case.simulate("tick")
+    result, board, error = case.simulate()
     if error is not None:
         return None, None, error
     return _sha256(result), _sha256(board), None
@@ -265,54 +247,6 @@ def generate_case(seed: int) -> FuzzCase:
     )
 
 
-def run_case(case: FuzzCase) -> Optional[str]:
-    """Run one case on both cores; ``None`` on identity, else a diagnosis.
-
-    The trace is built once and shared — trace generation is deterministic
-    and read-only, but sharing it also rules out the generator as a source
-    of divergence.
-    """
-    trace = case.build_trace()
-    tick_json, tick_board, tick_error = case.simulate("tick", trace)
-    event_json, event_board, event_error = case.simulate("event", trace)
-    if tick_error is not None or event_error is not None:
-        if tick_error == event_error:
-            return None
-        return (
-            f"error divergence: tick={tick_error!r} event={event_error!r}\n"
-            f"  case: {case.describe()}"
-        )
-    if tick_json != event_json:
-        diffs = sorted(
-            key
-            for key in set(tick_json) | set(event_json)
-            if tick_json.get(key) != event_json.get(key)
-        )
-        return (
-            f"result divergence in fields {diffs}: "
-            f"tick={[tick_json.get(k) for k in diffs]} "
-            f"event={[event_json.get(k) for k in diffs]}\n"
-            f"  case: {case.describe()}"
-        )
-    if tick_board != event_board:
-        pairs = [
-            (t, e) for t, e in zip(tick_board, event_board) if t != e
-        ] or [(tick_board[-1], event_board[-1])]
-        return (
-            f"scoreboard divergence: tick={pairs[0][0]} event={pairs[0][1]}\n"
-            f"  case: {case.describe()}"
-        )
-    return None
-
-
-def repro_command(master: int, index: int) -> str:
-    """The minimized one-case repro command printed on a mismatch."""
-    return (
-        f"PYTHONPATH=src python scripts/fuzz_cores.py "
-        f"--seed {master} --case {index}"
-    )
-
-
 __all__ = [
     "DEFAULT_SEED",
     "FuzzCase",
@@ -320,7 +254,5 @@ __all__ = [
     "LATENCIES",
     "case_seed",
     "generate_case",
-    "repro_command",
-    "run_case",
     "tick_digests",
 ]

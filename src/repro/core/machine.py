@@ -48,7 +48,7 @@ from repro.refarch.config import ReferenceConfig
 
 FAMILIES = ("ref", "dva")
 
-FieldValue = Union[int, bool, str]
+FieldValue = Union[int, bool]
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,10 @@ class FieldInfo:
         key: the primary key used in spec strings (``ports`` rather than
             ``memory_ports``).
         aliases: accepted alternative keys (the attribute name always is).
-        kind: ``"int"``, ``"bool"`` or ``"choice"``.
+        kind: ``"int"`` or ``"bool"``.
         families: the simulator families the field applies to.
         lo / hi: inclusive valid range for integer fields.
         power_of_two: integer values must additionally be powers of two.
-        choices: the accepted words of a ``"choice"`` field.
         default: the canonical default — the value the field takes when a
             spec string does not mention it; also what :meth:`MachineSpec.to_string`
             elides.
@@ -81,14 +80,11 @@ class FieldInfo:
     hi: int = 0
     power_of_two: bool = False
     description: str = ""
-    choices: Tuple[str, ...] = ()
 
     @property
     def range_text(self) -> str:
         if self.kind == "bool":
             return "on|off"
-        if self.kind == "choice":
-            return "|".join(self.choices)
         text = f"{self.lo}..{self.hi}"
         if self.power_of_two:
             text += " (power of two)"
@@ -148,11 +144,6 @@ FIELDS: Tuple[FieldInfo, ...] = (
         lo=1, hi=1048576,
         description="scalar-cache lines (capacity = line bytes × lines)",
     ),
-    FieldInfo(
-        "core", "core", (), "choice", ("ref", "dva"), "tick",
-        choices=("tick", "event"),
-        description="timing-core control flow (cycle-identical; tick is the oracle)",
-    ),
 )
 
 _BY_KEY: Dict[str, FieldInfo] = {}
@@ -191,12 +182,6 @@ def parse_field_value(info: FieldInfo, text: str) -> FieldValue:
         raise ConfigurationError(
             f"field {info.key!r} takes on/off, got {text!r}"
         )
-    if info.kind == "choice":
-        if word in info.choices:
-            return word
-        raise ConfigurationError(
-            f"field {info.key!r} takes {info.range_text}, got {text!r}"
-        )
     try:
         return int(word)
     except ValueError:
@@ -208,7 +193,7 @@ def parse_field_value(info: FieldInfo, text: str) -> FieldValue:
 def _format_value(info: FieldInfo, value: FieldValue) -> str:
     if info.kind == "bool":
         return "on" if value else "off"
-    return str(value)  # ints and choice words both print as-is
+    return str(value)
 
 
 def format_override(key: str, value: FieldValue) -> str:
@@ -266,7 +251,6 @@ class MachineSpec:
     scalar_data: Optional[int] = None
     cache_line_bytes: Optional[int] = None
     cache_lines: Optional[int] = None
-    core: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -287,12 +271,6 @@ class MachineSpec:
                 if not isinstance(value, bool):
                     raise ConfigurationError(
                         f"field {info.key!r} takes on/off, got {value!r}"
-                    )
-                continue
-            if info.kind == "choice":
-                if value not in info.choices:
-                    raise ConfigurationError(
-                        f"field {info.key!r} takes {info.range_text}, got {value!r}"
                     )
                 continue
             if isinstance(value, bool) or not isinstance(value, int):
@@ -412,8 +390,6 @@ class MachineSpec:
                 continue
             if info.kind == "bool":
                 lines.append(f"{info.attribute} = {'true' if value else 'false'}")
-            elif isinstance(value, str):
-                lines.append(f'{info.attribute} = "{value}"')
             else:
                 lines.append(f"{info.attribute} = {value}")
         return "\n".join(lines) + "\n"

@@ -23,7 +23,6 @@ spec resolution: pass a :class:`MachineSpec` or any ready-made simulator).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Protocol, Tuple, Union, runtime_checkable
 
@@ -98,97 +97,19 @@ class SpecArchitecture:
         """Run ``trace`` on this machine: the spec's pins override ``config``."""
         memory = MemoryModel(latency=config.latency)
         provenance = self.spec.to_json()
-        core = self.spec.core if self.spec.core is not None else config.core
         if self.spec.family == "ref":
             simulator = ReferenceSimulator(
-                memory, config=self.spec.apply_reference(config.reference), core=core
+                memory, config=self.spec.apply_reference(config.reference)
             )
             return RunResult.from_reference(
                 simulator.run(trace), architecture=self.name, spec=provenance
             )
         simulator = DecoupledSimulator(
-            memory, config=self.spec.apply_decoupled(config.decoupled), core=core
+            memory, config=self.spec.apply_decoupled(config.decoupled)
         )
         return RunResult.from_decoupled(
             simulator.run(trace), architecture=self.name, spec=provenance
         )
-
-
-# -- deprecated adapter shims ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReferenceArchitecture:
-    """Deprecated adapter-kwargs shim; use a :class:`MachineSpec` instead.
-
-    Kept for one release so existing call sites
-    (``ReferenceArchitecture(lanes=2)``) keep working; it simply resolves the
-    equivalent ``MachineSpec(family="ref", ...)`` and delegates.
-    """
-
-    name: str = "ref"
-    description: str = "reference in-order vector machine (paper §2.1)"
-    lanes: int = 1
-    memory_ports: int = 1
-
-    def __post_init__(self) -> None:
-        warnings.warn(
-            "ReferenceArchitecture is deprecated and will be removed next "
-            "release; use MachineSpec.from_string('ref@lanes=..,ports=..') "
-            "with register_architecture instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def as_spec(self) -> MachineSpec:
-        """The equivalent :class:`MachineSpec` this shim resolves to."""
-        return MachineSpec(
-            family="ref", lanes=self.lanes, memory_ports=self.memory_ports
-        )
-
-    def simulate(self, trace: Trace, config: RunConfig) -> RunResult:
-        """Delegate to the equivalent :class:`SpecArchitecture`."""
-        resolved = SpecArchitecture(self.name, self.description, self.as_spec())
-        return resolved.simulate(trace, config)
-
-
-@dataclass(frozen=True)
-class DecoupledArchitecture:
-    """Deprecated adapter-kwargs shim; use a :class:`MachineSpec` instead.
-
-    Kept for one release so existing call sites
-    (``DecoupledArchitecture(memory_ports=2)``) keep working; it resolves the
-    equivalent ``MachineSpec(family="dva", ...)`` and delegates.
-    """
-
-    name: str = "dva"
-    description: str = "decoupled vector machine with store→load bypass (paper §7)"
-    bypass: bool = True
-    lanes: int = 1
-    memory_ports: int = 1
-
-    def __post_init__(self) -> None:
-        warnings.warn(
-            "DecoupledArchitecture is deprecated and will be removed next "
-            "release; use MachineSpec.from_string('dva@lanes=..,bypass=..') "
-            "with register_architecture instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def as_spec(self) -> MachineSpec:
-        """The equivalent :class:`MachineSpec` this shim resolves to."""
-        return MachineSpec(
-            family="dva",
-            bypass=self.bypass,
-            lanes=self.lanes,
-            memory_ports=self.memory_ports,
-        )
-
-    def simulate(self, trace: Trace, config: RunConfig) -> RunResult:
-        """Delegate to the equivalent :class:`SpecArchitecture`."""
-        resolved = SpecArchitecture(self.name, self.description, self.as_spec())
-        return resolved.simulate(trace, config)
 
 
 # -- the registry ----------------------------------------------------------------------

@@ -62,10 +62,7 @@ class TimedQueue:
         Zero while the queue is under capacity; otherwise the *release* cycle
         of the entry ``capacity`` positions back — a slot is reusable on the
         very cycle its pop happens, not the cycle after (the same-cycle rule
-        ``tests/engine/test_same_cycle_ordering.py`` pins).  This is the
-        skip-ahead form of :meth:`earliest_push`: the blocking time with the
-        request-dependent ``max`` left to the caller, so an event core can
-        register it as a wakeup before it knows the requesting cycle.
+        ``tests/engine/test_same_cycle_ordering.py`` pins).
         """
         index = len(self.push_times)
         if index < self.capacity:
@@ -106,16 +103,6 @@ class TimedQueue:
         return len(self.push_times) - 1
 
     # -- consumer side ----------------------------------------------------------------
-
-    def front_index(self) -> int:
-        """Index of the entry the next pop will take."""
-        if self._next_pop_index >= len(self.push_times):
-            raise SimulationError(f"queue {self.name!r}: pop with no outstanding entry")
-        return self._next_pop_index
-
-    def front_ready(self) -> int:
-        """Ready cycle of the entry at the head of the queue."""
-        return self.ready_times[self.front_index()]
 
     def pop(self, requested: int) -> None:
         """Release the entry at the head of the queue at ``requested`` or later.

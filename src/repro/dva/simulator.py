@@ -47,7 +47,7 @@ from repro.dva.fetch import Processor, route_instruction
 from repro.dva.queues import TimedQueue
 from repro.dva.result import DecoupledResult
 from repro.dva.vector import _FU1, _FU2, VectorExecutionResources
-from repro.engine import TimingCore, validate_core
+from repro.engine import TimingCore
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import Register, RegisterClass
 from repro.memory.model import MemoryModel
@@ -159,32 +159,18 @@ def _default_owner(register: Register) -> Processor:
 
 
 class DecoupledSimulator:
-    """Simulates one trace on the decoupled vector architecture.
-
-    ``core`` selects the control flow driving the shared engine primitives:
-    ``"tick"`` (the default oracle) folds issue constraints into a running
-    ``max``; ``"event"`` (:mod:`repro.dva.event_core`) gives every processor
-    a wakeup scheduler and jumps between registered wakeups.  Results are
-    cycle-identical by contract — the differential fuzz suite pins it.
-    """
+    """Simulates one trace on the decoupled vector architecture."""
 
     def __init__(
         self,
         memory: MemoryModel,
         config: Optional[DecoupledConfig] = None,
-        core: str = "tick",
     ) -> None:
         self.memory_model = memory
         self.config = config if config is not None else DecoupledConfig()
-        self.core = validate_core(core)
 
     def run(self, trace: Trace) -> DecoupledResult:
-        if self.core == "event":
-            from repro.dva.event_core import _EventDecoupledState
-
-            state = _EventDecoupledState(self.memory_model, self.config)
-        else:
-            state = _DecoupledState(self.memory_model, self.config)
+        state = _DecoupledState(self.memory_model, self.config)
         state.consume(trace)
         return state.finish(trace)
 
@@ -193,10 +179,9 @@ def simulate_decoupled(
     trace: Trace,
     latency: int,
     config: Optional[DecoupledConfig] = None,
-    core: str = "tick",
 ) -> DecoupledResult:
     """Convenience wrapper: simulate ``trace`` on the DVA at a given latency."""
-    simulator = DecoupledSimulator(MemoryModel(latency=latency), config=config, core=core)
+    simulator = DecoupledSimulator(MemoryModel(latency=latency), config=config)
     return simulator.run(trace)
 
 

@@ -56,11 +56,6 @@ class TimingCore:
 
     # -- completion horizon ------------------------------------------------------------
 
-    def bump(self, completion: int) -> None:
-        """Extend the completion horizon to ``completion`` if it is later."""
-        if completion > self.horizon:
-            self.horizon = completion
-
     def finish_time(self, *pointers: int) -> int:
         """Total execution time: the horizon plus any still-moving pointers."""
         return max(self.horizon, *pointers) if pointers else self.horizon

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.common.errors import SimulationError
-from repro.engine import MemoryFabric, TimingCore, validate_core
+from repro.engine import MemoryFabric, TimingCore
 from repro.isa.registers import ELEMENT_SIZE_BYTES
 from repro.memory.model import MemoryModel
 from repro.refarch.config import ReferenceConfig
@@ -50,36 +50,21 @@ _FU2 = 1
 
 
 class ReferenceSimulator:
-    """Simulates one trace on the reference architecture.
-
-    ``core`` selects the control flow driving the shared engine primitives:
-    ``"tick"`` (the default oracle) folds issue constraints into a running
-    ``max``; ``"event"`` (:mod:`repro.refarch.event_core`) jumps between
-    registered wakeups.  Results are cycle-identical by contract — the
-    differential fuzz suite pins it — so the selection never changes what a
-    run measures, only how the stalls are attributed internally.
-    """
+    """Simulates one trace on the reference architecture."""
 
     def __init__(
         self,
         memory: MemoryModel,
         config: Optional[ReferenceConfig] = None,
-        core: str = "tick",
     ) -> None:
         self.memory = memory
         self.config = config if config is not None else ReferenceConfig()
-        self.core = validate_core(core)
 
     # -- public API ----------------------------------------------------------------
 
     def run(self, trace: Trace) -> ReferenceResult:
         """Simulate ``trace`` and return the measured result."""
-        if self.core == "event":
-            from repro.refarch.event_core import _EventReferenceState
-
-            state = _EventReferenceState(self.memory, self.config)
-        else:
-            state = _SimulationState(self.memory, self.config)
+        state = _SimulationState(self.memory, self.config)
         state.consume(trace)
         return state.finish(trace)
 
@@ -88,10 +73,9 @@ def simulate_reference(
     trace: Trace,
     latency: int,
     config: Optional[ReferenceConfig] = None,
-    core: str = "tick",
 ) -> ReferenceResult:
     """Convenience wrapper: simulate ``trace`` at the given memory latency."""
-    simulator = ReferenceSimulator(MemoryModel(latency=latency), config=config, core=core)
+    simulator = ReferenceSimulator(MemoryModel(latency=latency), config=config)
     return simulator.run(trace)
 
 

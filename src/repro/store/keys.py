@@ -18,14 +18,6 @@ only if the simulators would produce identical results:
   simulators compute for an unchanged input invalidates them too; and
 * :data:`KEY_SCHEME_VERSION`, so changing *this* hashing scheme does too.
 
-The timing-core selector (``core=tick|event``) is deliberately *excluded*:
-the cores are cycle-identical by contract (the differential fuzz suite and
-the golden suite pin it), so a result computed on either core is a valid hit
-for both.  :func:`cell_key` strips a core pin from the spec and from the
-architecture label before hashing, which keeps every pre-existing key
-byte-identical and makes tick- and event-computed cells interchangeable in
-the store.
-
 Only spec-backed simulators (:class:`~repro.core.registry.SpecArchitecture`
 and anything else exposing a ``spec`` attribute holding a
 :class:`~repro.core.machine.MachineSpec`) are keyable; a hand-written
@@ -37,39 +29,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Optional
 
-from repro.common.errors import ConfigurationError
 from repro.core.config import RunConfig
-from repro.core.machine import MachineSpec, format_override, parse_assignments
+from repro.core.machine import MachineSpec
 from repro.engine import TIMING_MODEL_VERSION
 from repro.trace.generator import TRACE_GENERATOR_VERSION
 
 #: Version of the key derivation itself.  Bump when the payload layout or the
 #: hashing below changes, so old store entries can never be misread as hits.
 KEY_SCHEME_VERSION = 1
-
-
-def core_invariant_label(label: str) -> str:
-    """``label`` with any ``core=...`` assignment removed from its @-clause.
-
-    Labels that are not parseable spec strings (hand-written simulator names
-    may contain anything) are returned unchanged — they key exactly as they
-    always did.
-    """
-    prefix, at, clause = label.partition("@")
-    if not at:
-        return label
-    try:
-        assignments = parse_assignments(clause, label)
-    except ConfigurationError:
-        return label
-    assignments.pop("core", None)
-    if not assignments:
-        return prefix
-    parts = [format_override(key, value) for key, value in assignments.items()]
-    return f"{prefix}@{','.join(parts)}"
 
 
 def cell_key(
@@ -96,8 +66,6 @@ def cell_key(
     spec = getattr(simulator, "spec", None)
     if not isinstance(spec, MachineSpec):
         return None
-    if spec.core is not None:
-        spec = replace(spec, core=None)
     if spec.family == "ref":
         machine = asdict(spec.apply_reference(config.reference))
     else:
@@ -109,9 +77,7 @@ def cell_key(
         "program": str(program).upper(),
         "scale": float(scale),
         "latency": int(latency),
-        "architecture": core_invariant_label(
-            str(getattr(simulator, "name", spec.to_string()))
-        ),
+        "architecture": str(getattr(simulator, "name", spec.to_string())),
         "spec": spec.to_string(),
         "machine": machine,
     }

@@ -145,18 +145,43 @@ class TestInProcess:
         assert "memory latency" in capsys.readouterr().err
 
 
+def _python_dash_m_repro(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
 class TestSubprocess:
     def test_python_dash_m_repro(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
-        completed = subprocess.run(
-            [sys.executable, "-m", "repro", "sweep",
-             "--programs", "trfd", "--latencies", "1,50",
-             "--arch", "ref,dva", "--scale", "0.2", "--jobs", "2"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
+        completed = _python_dash_m_repro(
+            ["sweep", "--programs", "trfd", "--latencies", "1,50",
+             "--arch", "ref,dva", "--scale", "0.2", "--jobs", "2"]
         )
         assert completed.returncode == 0, completed.stderr
         assert "Figure 5" in completed.stdout
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--program", "arc2d", "--core", "event"],
+             "unrecognized arguments: --core event"),
+            (["run", "--program", "arc2d", "--arch", "dva@core=event"],
+             "unknown machine field 'core'"),
+            (["sweep", "--programs", "arc2d", "--latencies", "1", "--arch", "dva",
+              "--axis", "core=tick,event", "--no-store"],
+             "unknown machine field 'core'"),
+        ],
+        ids=["core-flag", "core-pin", "core-axis"],
+    )
+    def test_the_removed_core_selector_fails_cleanly(self, argv, message):
+        completed = _python_dash_m_repro(argv)
+        assert completed.returncode == 2
+        errors = [line for line in completed.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0], completed.stderr
+        assert "Traceback" not in completed.stderr

@@ -93,31 +93,6 @@ class TestTiming:
             )
             assert ref.port_busy.last_end() <= ref.total_cycles
 
-    def test_single_lane_single_port_variant_matches_baseline(self, trace):
-        """A variant pinned to the paper's widths is the paper's machine.
-
-        The adapter classes are deprecated shims over MachineSpec now, so
-        constructing them must warn — and still time identically.
-        """
-        from repro.core.registry import (
-            DecoupledArchitecture,
-            ReferenceArchitecture,
-        )
-
-        with pytest.warns(DeprecationWarning, match="MachineSpec"):
-            narrow_ref = ReferenceArchitecture(name="x", lanes=1, memory_ports=1)
-        config = RunConfig(latency=50)
-        assert (
-            narrow_ref.simulate(trace, config).total_cycles
-            == simulate(trace, "ref", latency=50).total_cycles
-        )
-        with pytest.warns(DeprecationWarning, match="MachineSpec"):
-            narrow_dva = DecoupledArchitecture(name="x", lanes=1, memory_ports=1)
-        assert (
-            narrow_dva.simulate(trace, config).total_cycles
-            == simulate(trace, "dva", latency=50).total_cycles
-        )
-
 
 class TestFiguresIntegration:
     """The figures layer must accept the variants without special-casing."""

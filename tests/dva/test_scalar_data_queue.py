@@ -22,14 +22,8 @@ def trace():
 
 
 @pytest.mark.parametrize("slots", [1, 2, 3])
-def test_a_full_sadq_drains_and_both_cores_agree(trace, slots):
+def test_a_full_sadq_drains_instead_of_failing(trace, slots):
     config = machine_spec(f"dva@sdq={slots}").apply_decoupled(DecoupledConfig())
     assert config.queues.scalar_data == slots
-    results = {
-        core: DecoupledSimulator(MemoryModel(latency=1), config=config, core=core)
-        .run(trace)
-        .to_json()
-        for core in ("tick", "event")
-    }
-    assert results["tick"]["total_cycles"] > 0
-    assert results["tick"] == results["event"]
+    result = DecoupledSimulator(MemoryModel(latency=1), config=config).run(trace)
+    assert result.total_cycles > 0

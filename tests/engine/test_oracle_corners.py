@@ -2,7 +2,7 @@
 
 ``tests/golden`` and the tick oracle (``tick_oracle.json``) pin the
 decoupled machine's outcomes, but a pin only protects the code paths its
-cases actually execute.  This test counts, over the differential fuzz batch,
+cases actually execute.  This test counts, over the oracle's random batch,
 the fixed extra cases of the tick oracle and the decoupled cells of the
 golden grid, how often each corner of the address processor's memory path
 is reached, and fails if any corner is never reached:
@@ -17,13 +17,14 @@ is reached, and fails if any corner is never reached:
 * a scalar store that hits the cache and still writes through to memory.
 
 The counts come from instrumenting the pipeline's forced-drain hook and the
-fabric's scalar accesses, from the pipeline's counters and port recorders,
-and, for the AVDQ stall, from the event core's per-resource wakeup spans
-(the two cores are cycle-identical, which the fuzz batch and the golden
-suite assert separately).
+fabric's scalar accesses, and from the pipeline's counters and port
+recorders.  An AVDQ stall leaves no counter of its own, so each run is
+repeated with an AVDQ too deep to fill: the AP stalled on a full AVDQ
+exactly when the two runs push load data at different cycles.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,6 @@ from repro.core.fuzz import FuzzCase, case_seed, generate_case
 from repro.core.registry import machine_spec
 from repro.dva.address import MemoryPipeline
 from repro.dva.config import DecoupledConfig
-from repro.dva.event_core import _EventDecoupledState
 from repro.dva.simulator import _DecoupledState
 from repro.engine.memory import MemoryFabric
 from repro.memory.model import MemoryModel
@@ -115,12 +115,13 @@ def corner_counts():
                 1 for table_index in trace.columns.insn
                 if infos[table_index].is_indexed
             )
-            if counts["AP stall on full AVDQ"] == 0:
-                event = _EventDecoupledState(MemoryModel(latency=latency), config)
-                event.consume(trace)
-                counts["AP stall on full AVDQ"] += event.ap_scheduler.spans.get(
-                    "load-data-queue", 0
-                )
+            deep = replace(
+                config, queues=replace(config.queues, vector_load_data=65536)
+            )
+            unbounded = _DecoupledState(MemoryModel(latency=latency), deep)
+            unbounded.consume(trace)
+            if unbounded.memory.avdq.push_times != memory.avdq.push_times:
+                counts["AP stall on full AVDQ"] += 1
     finally:
         patch.undo()
     return counts

@@ -4,9 +4,8 @@ The timestamp-arithmetic simulators never step cycles, so every "who goes
 first within one cycle" question is answered by a convention baked into
 :class:`~repro.dva.queues.TimedQueue`,
 :class:`~repro.common.intervals.IntervalRecorder` and
-:class:`~repro.engine.ResourcePool`.  The event core leans on exactly these
-conventions when it registers wakeups (``slot_free_time`` et al.), so each
-one is pinned here:
+:class:`~repro.engine.ResourcePool`.  Every issue rule of both simulators
+leans on these conventions, so each one is pinned here:
 
 * a queue entry may be popped on the very cycle it was pushed (zero
   residency is legal), but never earlier;
@@ -68,9 +67,8 @@ class TestTimedQueueSameCycleRules:
             )
 
     def test_slot_free_time_requires_the_consumer_to_have_run(self):
-        # The event core registers slot_free_time as a wakeup; if the
-        # consumer side has not been simulated yet that is a program-order
-        # bug, and it must fail loudly on both cores with the same message.
+        # If the consumer side has not been simulated yet that is a
+        # program-order bug, and it must fail loudly.
         queue = TimedQueue("iq", capacity=1)
         queue.push(0)
         with pytest.raises(SimulationError, match="has not been released yet"):

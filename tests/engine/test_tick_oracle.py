@@ -1,15 +1,13 @@
-"""The tick core against digests of its own recorded outcomes.
+"""The simulators against digests of their own recorded outcomes.
 
-The differential fuzz suite compares the tick core with the event core, but
-both cores drive the same memory pipeline, timed queues, resource pools and
-result assembly, so a change to any of those shared layers moves both cores
-together and the comparison stays green.  ``tick_oracle.json`` closes that
-gap: it pins, for every case of the CI fuzz batch and for a few fixed extra
-cases that reach memory-path corners the batch cannot, SHA-256 digests of
-the tick core's ``to_json()`` payload (in its key order) and of its final
-scoreboard, as recorded before the shared layers were last optimized.
+``tick_oracle.json`` pins, for every case of the seeded random batch
+(:mod:`repro.core.fuzz`) and for a few fixed extra cases that reach
+memory-path corners the batch cannot, SHA-256 digests of the simulator's
+``to_json()`` payload (in its key order) and of its final scoreboard, as
+recorded before the memory pipeline, timed queues, resource pools and result
+assembly were last optimized.
 
-A failure here means the tick core's observable behaviour changed.  That is
+A failure here means a simulator's observable behaviour changed.  That is
 a bug unless the change was a deliberate, reviewed timing-model change, in
 which case ``TIMING_MODEL_VERSION`` is bumped and the fixture regenerated
 with ``python scripts/make_tick_oracle.py``.

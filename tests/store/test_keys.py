@@ -2,10 +2,13 @@
 
 from dataclasses import replace
 
-from repro.core import RunConfig, architecture
+import pytest
+
+from repro.core import RunConfig, Runner, SweepSpec, architecture, simulate
 from repro.refarch.config import ReferenceConfig
-from repro.store import cell_key
+from repro.store import ResultStore, cell_key
 from repro.store.keys import KEY_SCHEME_VERSION
+from repro.workloads.perfect_club import load_program
 
 CONFIG = RunConfig()
 
@@ -87,3 +90,45 @@ class TestUncacheable:
                 raise NotImplementedError
 
         assert cell_key("trfd", 1.0, 1, Opaque(), CONFIG) is None
+
+
+#: Keys of arc2d at latency 50, recorded before the timing-core selector was
+#: removed: persisted stores stay valid only while these digests hold.
+RECORDED_KEYS = {
+    "ref": "72ccb73f4f65ab71e03f3fdaacc711da3619f2ea3f142a2708c84c5ab4e34110",
+    "dva": "73ea871c06c668973ac78af6c958ed04ac7317801ab08a8c6aa8196a3e40df4c",
+    "dva-nobypass": "39a7d58fd0077721761d26bd601f7a56079a70a4411b4c48483bfc2ccdfa4f0b",
+    "dva@lanes=2": "6c859021868b72e85d5048dadc3f7a3bf7dce4f631d5224237c08713b5074354",
+}
+
+
+class TestRecordedKeys:
+    @pytest.mark.parametrize("arch", RECORDED_KEYS)
+    def test_key_matches_the_recorded_digest(self, arch):
+        key = cell_key("arc2d", 1.0, 50, architecture(arch), RunConfig(latency=50))
+        assert key == RECORDED_KEYS[arch]
+
+
+class TestCorePinnedEntries:
+    def test_a_core_pinned_entry_answers_the_plain_cell_relabelled(self, tmp_path):
+        # Stores written while specs could pin a timing core hold entries
+        # labelled "dva@core=event" under the plain "dva" cell's key.
+        scale = 0.25
+        simulator = architecture("dva")
+        key = cell_key("arc2d", scale, 50, simulator, RunConfig(latency=50))
+        trace = load_program("arc2d").build_trace(scale=scale)
+        fresh = simulate(trace, "dva", latency=50)
+        old = replace(
+            fresh, architecture="dva@core=event", spec={"family": "dva", "core": "event"}
+        )
+        ResultStore(tmp_path).put(key, old, scale=scale)
+
+        spec = SweepSpec.from_strings(
+            programs="arc2d", latencies="50", architectures="dva", scale=scale
+        )
+        sweep = Runner(jobs=1, store=ResultStore(tmp_path)).run(spec)
+        assert sweep.cached_count == 1 and sweep.simulated_count == 0
+        (result,) = sweep
+        assert result.architecture == "dva"
+        assert result.spec == simulator.spec.to_json()
+        assert result.total_cycles == fresh.total_cycles
