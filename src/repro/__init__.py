@@ -56,7 +56,7 @@ from repro.core import (
     simulate,
 )
 
-__version__ = "1.7.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Experiment",

@@ -9,10 +9,10 @@ protocol — the shared store directory *is* the coordination substrate:
    store (another worker may have finished it), then race an atomic claim
    (:mod:`repro.cluster.claims`), then — for cells whose claim has expired —
    steal the dead holder's lease;
-3. simulate won cells exactly the way the in-process runner does (one
-   per-worker :class:`~repro.core.experiment.TraceCache`, so cells of the
-   same program share a trace build), write the result through the
-   :class:`~repro.store.ResultStore`, and release the claim;
+3. simulate and store won cells through the in-process runner's
+   :func:`~repro.core.experiment.run_cells` (one per-worker
+   :class:`~repro.core.experiment.TraceCache`, so cells of the same program
+   share a trace build), and release the claim;
 4. loop until every manifest cell resolves in the store.
 
 A heartbeat thread refreshes the leases of held claims and rewrites the
@@ -34,13 +34,12 @@ import os
 import socket
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.common.errors import ReproError
 from repro.core.config import RunConfig
-from repro.core.experiment import TraceCache
+from repro.core.experiment import TraceCache, run_cells
 from repro.core.registry import resolve_architecture
 from repro.core.result import RunResult
 from repro.store import ResultStore, cell_key
@@ -185,11 +184,10 @@ class ClusterWorker:
                     "and worker must run the same repro version)"
                 )
             trace = self.trace_cache.get(cell.program, cell.scale)
-            result = simulator.simulate(
-                trace, self.config.with_latency(cell.latency)
+            (result,) = run_cells(
+                trace, [(cell.latency, simulator, cell.key)], self.config,
+                self.store, cell.scale,
             )
-            result = replace(result, store_key=cell.key)
-            self.store.put(cell.key, result, scale=cell.scale)
         except ReproError as exc:
             self.failed += 1
             self.errors.append({"key": cell.key, "error": f"{type(exc).__name__}: {exc}"})

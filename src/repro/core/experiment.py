@@ -411,7 +411,7 @@ def _restore_provenance(found: RunResult, simulator: Simulator) -> RunResult:
     return replace(found, architecture=simulator.name, spec=expected_spec)
 
 
-def _run_cells(
+def run_cells(
     trace: Trace,
     tasks: Sequence[CellTask],
     config: RunConfig,
@@ -421,8 +421,10 @@ def _run_cells(
 ) -> List[RunResult]:
     """Sweep one trace across its cells, persisting each as it completes.
 
-    Write-back happens per cell, not per batch, so a simulation process
-    killed mid-batch leaves every already-finished cell in the store.
+    The one simulate → ``store_key`` → ``store.put`` sequence: the serial
+    runner, pool workers, service batches and cluster workers all run cells
+    through it.  Write-back happens per cell, not per batch, so a simulation
+    process killed mid-batch leaves every already-finished cell in the store.
     ``on_result`` fires per cell, after the store write (serial progress
     reporting; pool workers run without it).
     """
@@ -477,7 +479,7 @@ def _run_program_cells(
     store = ResultStore(store_root) if store_root is not None else None
     trace = _WORKER_CACHE.get(program, scale)
     try:
-        return _run_cells(trace, cell_tasks, config, store, scale)
+        return run_cells(trace, cell_tasks, config, store, scale)
     finally:
         if not gc.isenabled():
             gc.collect()
@@ -718,7 +720,7 @@ class Runner:
             per_program: List[List[RunResult]] = [[] for _ in spec.programs]
             on_result = tracker.report if tracker is not None else None
             for index, _program in miss_programs:
-                per_program[index] = _run_cells(
+                per_program[index] = run_cells(
                     traces[index], misses[index], config, self.store, spec.scale,
                     on_result=on_result,
                 )
@@ -822,7 +824,7 @@ class Runner:
             )
         with self._trace_lock:
             trace = self.trace_cache.get(program, scale)
-        return _run_cells(trace, tasks, config, self.store, scale)
+        return run_cells(trace, tasks, config, self.store, scale)
 
     def _ensure_pool(self) -> multiprocessing.pool.Pool:
         """The persistent worker pool, created on first use (thread-safe).

@@ -1,36 +1,27 @@
-"""Columnar dynamic traces: the canonical in-memory trace representation.
+"""Columnar dynamic traces: the one in-memory trace representation.
 
-A dynamic trace is billions of repetitions of a few hundred *static*
-instructions, so storing one Python object per executed instruction wastes
-both memory and time — every simulator pass pays attribute lookups and
-property chains per dynamic record.  :class:`ColumnarTrace` stores the
-dynamic stream as parallel machine-typed columns instead:
+A trace replays a few hundred *static* instructions many thousands of times,
+so :class:`ColumnarTrace` stores the dynamic stream as parallel
+machine-typed columns:
 
-* ``insn``   — index into the (small) table of unique static instructions,
-* ``kind``   — one byte per record: the instruction's :class:`OpcodeClass`,
-* ``seq``    — the record's declared sequence number (normally its position),
+* ``insn``   — index into the table of unique static instructions,
+* ``kind``   — the instruction's :class:`OpcodeClass` as one byte,
+* ``seq``    — the declared sequence number (normally the position),
 * ``vl``     — vector length in effect,
 * ``stride`` — vector stride in elements,
 * ``addr``   — base byte address of memory references (:data:`NO_ADDRESS`
   for non-memory instructions),
 * ``block``  — index into the table of basic-block labels.
 
-Everything a simulator asks *per static instruction* — classification flags,
-operand lists, which functional unit it needs — is precomputed once per
-unique instruction into an :class:`InstructionInfo` and shared by every
-dynamic occurrence, so hot loops read plain attributes off a table entry
-plus integers off column slices.
-
-The legacy one-object-per-record view (:class:`~repro.trace.record.DynamicInstruction`)
-is still available through :meth:`ColumnarTrace.record` and
-:meth:`ColumnarTrace.iter_records`; it is materialized on demand and never
-stored.
+Per-static-instruction facts (classification flags, operand lists, the
+functional unit it needs) are precomputed once into an
+:class:`InstructionInfo` shared by every dynamic occurrence.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.common.errors import TraceError
 from repro.isa.instruction import Instruction
@@ -59,17 +50,10 @@ _KIND_OF_CLASS = {
     OpcodeClass.QUEUE_MOVE: KIND_QUEUE_MOVE,
 }
 
-_CLASS_OF_KIND = {code: cls for cls, code in _KIND_OF_CLASS.items()}
-
 
 def kind_of(instruction: Instruction) -> int:
     """The one-byte ``kind`` code of an instruction's opcode class."""
     return _KIND_OF_CLASS[instruction.opcode_class]
-
-
-def opcode_class_of_kind(kind: int) -> OpcodeClass:
-    """The :class:`OpcodeClass` a ``kind`` byte stands for."""
-    return _CLASS_OF_KIND[kind]
 
 
 class InstructionInfo:
@@ -162,10 +146,8 @@ class InstructionInfo:
 class ColumnarTrace:
     """Parallel-column storage of one dynamic instruction stream.
 
-    Appends validate the same invariants the legacy record constructor did
-    (non-negative vector lengths, memory references carry an address), so a
-    columnar trace can never hold a record its object form would have
-    rejected.
+    Appends reject negative vector lengths and memory references without
+    an address.
     """
 
     __slots__ = (
@@ -211,9 +193,8 @@ class ColumnarTrace:
         Interning is by object identity first: trace generation replays the
         same static :class:`~repro.isa.instruction.Instruction` objects, so
         the id-keyed fast path avoids hashing instruction contents per
-        record.  A distinct-but-equal object (e.g. one parsed per record
-        from a legacy JSON-lines trace) falls back to value interning, so
-        the table always holds one entry per *unique* instruction.
+        record.  A distinct-but-equal object falls back to value interning,
+        so the table always holds one entry per *unique* instruction.
         """
         index = self._intern.get(id(instruction))
         if index is None:
@@ -281,39 +262,6 @@ class ColumnarTrace:
             self._infos = infos
         return infos
 
-    # -- record views ------------------------------------------------------------------
-
-    def record(self, index: int):
-        """Materialize the legacy record view of one dynamic slot."""
-        from repro.trace.record import DynamicInstruction
-
-        address = self.addr[index]
-        return DynamicInstruction(
-            instruction=self.instructions[self.insn[index]],
-            sequence=self.seq[index],
-            block_label=self.block_labels[self.block[index]],
-            vector_length=self.vl[index],
-            stride_elements=self.stride[index],
-            base_address=None if address == NO_ADDRESS else address,
-        )
-
-    def iter_records(self) -> Iterator["DynamicInstruction"]:  # noqa: F821
-        """Yield legacy record views one at a time (never stored)."""
-        from repro.trace.record import DynamicInstruction
-
-        instructions = self.instructions
-        labels = self.block_labels
-        for index in range(len(self.insn)):
-            address = self.addr[index]
-            yield DynamicInstruction(
-                instruction=instructions[self.insn[index]],
-                sequence=self.seq[index],
-                block_label=labels[self.block[index]],
-                vector_length=self.vl[index],
-                stride_elements=self.stride[index],
-                base_address=None if address == NO_ADDRESS else address,
-            )
-
     # -- introspection -----------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -327,28 +275,6 @@ class ColumnarTrace:
                     f"trace {name!r}: record {expected} carries sequence "
                     f"number {sequence}"
                 )
-
-    def counts_by_kind(self) -> Dict[int, int]:
-        """How many dynamic records fall in each ``kind`` code."""
-        counts: Dict[int, int] = {}
-        for code in self.kind:
-            counts[code] = counts.get(code, 0) + 1
-        return counts
-
-    def memory_bounds(self) -> Optional[Tuple[int, int]]:
-        """Smallest and largest base address touched (``None`` without any)."""
-        lowest: Optional[int] = None
-        highest: Optional[int] = None
-        for address in self.addr:
-            if address == NO_ADDRESS:
-                continue
-            if lowest is None or address < lowest:
-                lowest = address
-            if highest is None or address > highest:
-                highest = address
-        if lowest is None or highest is None:
-            return None
-        return lowest, highest
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -20,15 +20,14 @@ and the addresses of its memory references.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import TraceError
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import BasicBlock
 from repro.isa.registers import ELEMENT_SIZE_BYTES, VECTOR_REGISTER_LENGTH
 from repro.trace.columns import NO_ADDRESS, ColumnarTrace, kind_of
-from repro.trace.record import DynamicInstruction, Trace
+from repro.trace.record import Trace
 
 #: Version of the trace-generation algorithm.  Any change that alters the
 #: dynamic instruction stream a program model produces (instruction order,
@@ -102,9 +101,9 @@ class _BlockPlan:
     :data:`~repro.trace.columns.NO_ADDRESS` everywhere until a replay fills
     those positions in.  ``vector_length``/``vector_stride`` are the values
     the block's last ``SET_VL``/``SET_VS`` leave behind (``None``: the block
-    does not set it).  ``block`` and ``instructions`` are what the plan was
-    built from: keeping the block alive keeps its ``id`` a valid cache key,
-    and the instruction list detects a block that changed since.
+    does not set it).  ``block`` is what the plan was built from: keeping it
+    alive keeps its ``id`` a valid cache key, and the copied ``label`` and
+    ``instructions`` detect a block that changed since.
     """
 
     __slots__ = (
@@ -123,13 +122,9 @@ class _BlockPlan:
         "vector_stride",
     )
 
-    def __init__(
-        self,
-        columns: ColumnarTrace,
-        instructions: Sequence[Instruction],
-        label: str,
-        block: Optional[BasicBlock] = None,
-    ) -> None:
+    def __init__(self, columns: ColumnarTrace, block: BasicBlock) -> None:
+        instructions = block.instructions
+        label = block.label
         vector_length: Optional[int] = None
         vector_stride: Optional[int] = None
         vl: List[int] = []
@@ -243,25 +238,10 @@ class TraceBuilder:
         """
         plan = self._plans.get(id(block))
         if plan is None or plan.instructions != block.instructions or plan.label != block.label:
-            plan = _BlockPlan(self.trace.columns, block.instructions, block.label, block)
+            plan = _BlockPlan(self.trace.columns, block)
             self._plans[id(block)] = plan
         self.trace.blocks_executed += 1
         self._replay(plan, region_offsets or {})
-
-    def append_instruction(
-        self,
-        instruction: Instruction,
-        block_label: str = "",
-        region_offsets: Optional[Dict[str, int]] = None,
-    ) -> DynamicInstruction:
-        """Emit a single dynamic record outside of block replay.
-
-        The instruction is planned and replayed as a one-instruction block
-        that is not counted in ``blocks_executed``.
-        """
-        plan = _BlockPlan(self.trace.columns, (instruction,), block_label)
-        self._replay(plan, region_offsets or {})
-        return self.trace[len(self.trace) - 1]
 
     def _replay(self, plan: _BlockPlan, offsets: Dict[str, int]) -> None:
         columns = self.trace.columns

@@ -93,8 +93,7 @@ def compute_statistics(trace: Trace) -> TraceStatistics:
     The loop reads the instruction-table index and vector-length columns with
     per-field locals and takes every static fact (vector? memory? spill?)
     from the precomputed
-    :class:`~repro.trace.columns.InstructionInfo` table — no record objects
-    are materialized.
+    :class:`~repro.trace.columns.InstructionInfo` table.
     """
     stats = TraceStatistics(name=trace.name, basic_blocks=trace.blocks_executed)
     columns = trace.columns

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.core import MachineSpec, Runner, SweepSpec, architecture, machine_spec
+from repro.core import MachineSpec, Runner, SweepSpec, architecture, machine_spec, simulate
 from repro.core.machine import (
     PRESETS,
     canonical_axis_name,
@@ -15,6 +15,7 @@ from repro.core.machine import (
 )
 from repro.dva.config import DecoupledConfig
 from repro.refarch.config import ReferenceConfig
+from repro.workloads.perfect_club import build_trace
 
 
 class TestStringRoundTrip:
@@ -251,6 +252,19 @@ class TestRegistryResolution:
     def test_unknown_name_still_lists_known(self):
         with pytest.raises(ConfigurationError, match="unknown architecture"):
             architecture("vliw")
+
+
+class TestKnobsMoveCycles:
+    """A spec field that reaches the simulator changes a pinned outcome."""
+
+    @pytest.mark.parametrize(
+        "program, default_cycles, ssaq1_cycles",
+        [("BDNA", 28209, 28341), ("TRFD", 17146, 17170)],
+    )
+    def test_one_slot_ssaq_costs_cycles(self, program, default_cycles, ssaq1_cycles):
+        trace = build_trace(program)
+        assert simulate(trace, "dva", latency=1).total_cycles == default_cycles
+        assert simulate(trace, "dva@ssaq=1", latency=1).total_cycles == ssaq1_cycles
 
 
 class TestWorkerPickling:

@@ -58,7 +58,7 @@ class _ConstantArchitecture:
             program=trace.name,
             latency=config.latency,
             total_cycles=42,
-            instructions=len(trace.records),
+            instructions=len(trace),
         )
 
 

@@ -7,7 +7,7 @@ from repro.core import simulate as core_simulate
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import s_reg, v_reg
 from repro.refarch import ReferenceConfig, simulate_reference
-from repro.trace.record import DynamicInstruction, Trace
+from repro.trace.record import Trace
 from repro.isa.instruction import make_instruction
 
 
@@ -231,7 +231,7 @@ class TestValidation:
     def test_queue_move_rejected(self):
         instruction = make_instruction(Opcode.QMOV_V_LOAD, destinations=[v_reg(0)])
         trace = Trace(name="bad")
-        trace.append(DynamicInstruction(instruction=instruction, sequence=0))
+        trace.columns.append(instruction, sequence=0)
         with pytest.raises(SimulationError):
             core_simulate(trace, "ref", latency=1)
 

@@ -188,14 +188,6 @@ def test_relabelled_block_is_replanned():
     assert pairs[0][0].trace.columns.block_labels == ["before", "after"]
 
 
-def test_append_instruction_is_a_one_instruction_block():
-    builder = TraceBuilder("t")
-    builder.append_block(BasicBlock("setter", [make_instruction(Opcode.SET_VL, immediate=12)]))
-    record = builder.append_instruction(PALETTE[-3], block_label="loose")
-    assert (record.sequence, record.vector_length, record.block_label) == (1, 12, "loose")
-    assert builder.trace.blocks_executed == 1
-
-
 # -- validation -----------------------------------------------------------------------
 
 
@@ -278,11 +270,3 @@ def test_block_made_invalid_between_replays_raises_on_replay(bad, message):
     with pytest.raises(TraceError, match=re.escape(message)):
         builder.append_block(block)
     assert len(builder.trace) == 2
-
-
-@pytest.mark.parametrize("bad, message", BAD_INSTRUCTIONS + [_bad_memory_param()])
-def test_append_instruction_raises_the_same_text(bad, message):
-    builder = TraceBuilder("t")
-    with pytest.raises(TraceError, match=re.escape(message)):
-        builder.append_instruction(bad)
-    assert len(builder.trace) == 0

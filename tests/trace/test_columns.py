@@ -1,22 +1,15 @@
-"""Columnar-trace coverage: record equivalence, binary format, error paths."""
+"""Columnar-trace coverage: re-encoding, a reference statistics walk, invariants."""
 
-import gzip
-import struct
+import dataclasses
 
 import pytest
 
 from repro.common.errors import TraceError
-from repro.isa.builder import InstructionBuilder
 from repro.isa.instruction import MemoryOperand, make_instruction
 from repro.isa.opcodes import Opcode
-from repro.isa.program import BasicBlock
-from repro.isa.registers import s_reg, v_reg
+from repro.isa.registers import ELEMENT_SIZE_BYTES, s_reg, v_reg
 from repro.trace.columns import NO_ADDRESS, ColumnarTrace
-from repro.trace.generator import TraceBuilder
-from repro.trace.reader import iter_trace_records, read_trace
-from repro.trace.record import Trace
 from repro.trace.statistics import compute_statistics
-from repro.trace.writer import TRACE_MAGIC, write_trace
 from repro.workloads.perfect_club import load_program, program_names
 
 #: Small but non-trivial scale so all six programs stay fast to build.
@@ -27,85 +20,55 @@ def _program_trace(name):
     return load_program(name).build_trace(scale=_SCALE)
 
 
-def _records_equal(first, second):
-    assert first.sequence == second.sequence
-    assert first.opcode == second.opcode
-    assert first.block_label == second.block_label
-    assert first.vector_length == second.vector_length
-    assert first.stride_elements == second.stride_elements
-    assert first.base_address == second.base_address
-    assert first.instruction.destinations == second.instruction.destinations
-    assert first.instruction.sources == second.instruction.sources
-    assert first.instruction.memory == second.instruction.memory
-    assert first.instruction.immediate == second.instruction.immediate
-
-
 class TestColumnarRecordEquivalence:
-    """Columns and record views describe the same stream for every program."""
+    """The builder's columns agree with per-record appends and a record walk."""
 
     @pytest.mark.parametrize("program", program_names())
     def test_record_roundtrip(self, program):
-        """Re-encoding the record views reproduces the columns exactly."""
+        """Re-appending every slot one record at a time reproduces the columns."""
         trace = _program_trace(program)
-        rebuilt = Trace(
-            name=trace.name,
-            records=iter(trace),
-            blocks_executed=trace.blocks_executed,
-            metadata=dict(trace.metadata),
-        )
+        columns = trace.columns
+        rebuilt = ColumnarTrace()
+        for i, index in enumerate(columns.insn):
+            address = columns.addr[i]
+            rebuilt.append(
+                columns.instructions[index],
+                sequence=columns.seq[i],
+                block_label=columns.block_labels[columns.block[i]],
+                vector_length=columns.vl[i],
+                stride_elements=columns.stride[i],
+                base_address=None if address == NO_ADDRESS else address,
+            )
         assert len(rebuilt) == len(trace)
         for name in ("insn", "seq", "vl", "stride", "addr", "block"):
-            assert getattr(rebuilt.columns, name) == getattr(trace.columns, name), name
-        assert rebuilt.columns.kind == trace.columns.kind
-        assert rebuilt.columns.block_labels == trace.columns.block_labels
-        for first, second in zip(trace, rebuilt):
-            _records_equal(first, second)
-
-    @pytest.mark.parametrize("program", program_names())
-    def test_binary_roundtrip(self, program, tmp_path):
-        """Write → read of the chunked column format is lossless."""
-        trace = _program_trace(program)
-        path = write_trace(trace, tmp_path / f"{program}.trc")
-        restored = read_trace(path)
-        assert restored.name == trace.name
-        assert restored.blocks_executed == trace.blocks_executed
-        assert len(restored) == len(trace)
-        for first, second in zip(trace, restored):
-            _records_equal(first, second)
-        original_stats = compute_statistics(trace).as_table_row()
-        assert compute_statistics(restored).as_table_row() == original_stats
+            assert getattr(rebuilt, name) == getattr(columns, name), name
+        assert rebuilt.kind == columns.kind
+        assert rebuilt.instructions == columns.instructions
+        assert rebuilt.block_labels == columns.block_labels
 
     def test_statistics_match_record_walk(self):
-        """The one-pass columnar statistics agree with a record-by-record walk."""
+        """The one-pass columnar statistics agree with a record-by-record walk
+        over the static instructions (not the precomputed instruction infos)."""
         trace = _program_trace("DYFESM")
+        columns = trace.columns
+        walk = [
+            (columns.instructions[index], columns.vl[i])
+            for i, index in enumerate(columns.insn)
+        ]
         stats = compute_statistics(trace)
-        assert stats.vector_instructions == sum(1 for r in trace if r.is_vector)
-        assert stats.scalar_instructions == sum(1 for r in trace if not r.is_vector)
-        assert stats.vector_operations == sum(
-            r.operations for r in trace if r.is_vector
+        assert stats.vector_instructions == sum(1 for insn, _ in walk if insn.is_vector)
+        assert stats.scalar_instructions == sum(
+            1 for insn, _ in walk if not insn.is_vector
         )
-        assert stats.memory_bytes == sum(r.bytes_accessed for r in trace)
+        assert stats.vector_operations == sum(vl for insn, vl in walk if insn.is_vector)
+        assert stats.memory_bytes == sum(
+            (vl if insn.is_vector else 1) * ELEMENT_SIZE_BYTES
+            for insn, vl in walk
+            if insn.is_memory
+        )
         assert stats.spill_memory_instructions == sum(
-            1 for r in trace if r.is_memory and r.is_spill_access
+            1 for insn, _ in walk if insn.is_memory and insn.is_spill_access
         )
-
-    def test_gzip_binary_roundtrip(self, tmp_path):
-        trace = _program_trace("TRFD")
-        path = write_trace(trace, tmp_path / "trace.trc.gz")
-        restored = read_trace(path)
-        assert len(restored) == len(trace)
-        for first, second in zip(trace, restored):
-            _records_equal(first, second)
-
-    def test_streaming_iterator_matches_loaded_trace(self, tmp_path):
-        trace = _program_trace("BDNA")
-        binary = write_trace(trace, tmp_path / "trace.trc")
-        legacy = write_trace(trace, tmp_path / "trace.jsonl", format="jsonl")
-        for path in (binary, legacy):
-            streamed = list(iter_trace_records(path))
-            assert len(streamed) == len(trace)
-            for first, second in zip(trace, streamed):
-                _records_equal(first, second)
 
 
 class TestColumnarTraceInvariants:
@@ -128,15 +91,18 @@ class TestColumnarTraceInvariants:
         add = make_instruction(Opcode.V_ADD, destinations=[v_reg(0)])
         columns.append(add, sequence=0, vector_length=8)
         assert columns.addr[0] == NO_ADDRESS
-        assert columns.record(0).base_address is None
 
-    def test_legacy_read_interns_equal_instructions_by_value(self, tmp_path):
-        """A JSONL trace (fresh Instruction object per line) still collapses
-        to one static-table entry per unique instruction."""
-        trace = _program_trace("FLO52")
-        path = write_trace(trace, tmp_path / "trace.jsonl", format="jsonl")
-        restored = read_trace(path)
-        assert len(restored.columns.instructions) == len(trace.columns.instructions)
+    def test_equal_instructions_intern_by_value(self):
+        """A distinct-but-equal instruction object shares the first one's
+        static-table entry."""
+        columns = ColumnarTrace()
+        add = make_instruction(Opcode.S_ADD, destinations=[s_reg(0)])
+        twin = dataclasses.replace(add)
+        assert twin == add and twin is not add
+        columns.append(add, sequence=0)
+        columns.append(twin, sequence=1)
+        assert columns.instructions == [add]
+        assert list(columns.insn) == [0, 0]
 
     def test_instruction_infos_cached_and_aligned(self):
         trace = _program_trace("ARC2D")
@@ -147,108 +113,3 @@ class TestColumnarTraceInvariants:
             assert info.instruction is instruction
             assert info.is_vector == instruction.is_vector
             assert info.opcode_class == instruction.opcode_class
-
-
-def _small_trace():
-    block = BasicBlock("loop")
-    builder = InstructionBuilder(block)
-    builder.set_vector_length(16)
-    builder.vector_load(v_reg(0), "x")
-    builder.vector_op(Opcode.V_ADD, v_reg(1), [v_reg(0), v_reg(0)])
-    builder.vector_store(v_reg(1), "y")
-    builder.scalar_load(s_reg(0), "globals")
-    trace_builder = TraceBuilder("errors")
-    trace_builder.append_block(block)
-    return trace_builder.build()
-
-
-class TestReaderErrorPaths:
-    def test_truncated_file_raises_explicit_error(self, tmp_path):
-        path = write_trace(_small_trace(), tmp_path / "trace.trc")
-        data = path.read_bytes()
-        path.write_bytes(data[:-20])
-        with pytest.raises(TraceError, match="truncated"):
-            read_trace(path)
-
-    def test_truncated_header_raises_explicit_error(self, tmp_path):
-        path = write_trace(_small_trace(), tmp_path / "trace.trc")
-        path.write_bytes(path.read_bytes()[: len(TRACE_MAGIC) + 2])
-        with pytest.raises(TraceError, match="truncated"):
-            read_trace(path)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "trace.trc"
-        path.write_bytes(b"NOTATRCE" + b"\x00" * 64)
-        with pytest.raises(TraceError, match="bad magic"):
-            read_trace(path)
-
-    def test_bad_magic_rejected_when_streaming(self, tmp_path):
-        path = tmp_path / "trace.trc"
-        path.write_bytes(b"NOTATRCE" + b"\x00" * 64)
-        with pytest.raises(TraceError, match="bad magic"):
-            list(iter_trace_records(path))
-
-    def test_binary_version_mismatch_rejected(self, tmp_path):
-        path = write_trace(_small_trace(), tmp_path / "trace.trc")
-        data = path.read_bytes()
-        offset = len(TRACE_MAGIC)
-        (header_length,) = struct.unpack_from("<I", data, offset)
-        header = data[offset + 4 : offset + 4 + header_length]
-        patched = header.replace(b'"format_version": 2', b'"format_version": 99')
-        rewritten = (
-            data[:offset]
-            + struct.pack("<I", len(patched))
-            + patched
-            + data[offset + 4 + header_length :]
-        )
-        path.write_bytes(rewritten)
-        with pytest.raises(TraceError, match="version"):
-            read_trace(path)
-
-    def test_legacy_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text('{"format_version": 7, "name": "x", "records": 0}\n')
-        with pytest.raises(TraceError, match="version"):
-            read_trace(path)
-
-    def test_empty_gzip_rejected(self, tmp_path):
-        path = tmp_path / "trace.trc.gz"
-        with gzip.open(path, "wb"):
-            pass
-        with pytest.raises(TraceError, match="empty"):
-            read_trace(path)
-
-    def test_trailing_data_rejected(self, tmp_path):
-        """Extra bytes past the declared record count mean corruption."""
-        path = write_trace(_small_trace(), tmp_path / "trace.trc")
-        path.write_bytes(path.read_bytes() + b"\x01")
-        with pytest.raises(TraceError, match="more data"):
-            read_trace(path)
-        with pytest.raises(TraceError, match="more data"):
-            list(iter_trace_records(path))
-
-    def test_negative_table_reference_rejected_when_streaming(self, tmp_path):
-        """A negative instruction index must not wrap around the table."""
-        path = write_trace(_small_trace(), tmp_path / "trace.trc")
-        data = bytearray(path.read_bytes())
-        offset = len(TRACE_MAGIC)
-        (header_length,) = struct.unpack_from("<I", data, offset)
-        first_insn = offset + 4 + header_length + 4
-        struct.pack_into("<q", data, first_insn, -2)
-        path.write_bytes(bytes(data))
-        with pytest.raises(TraceError):
-            read_trace(path)
-        with pytest.raises(TraceError):
-            list(iter_trace_records(path))
-
-    def test_corrupt_chunk_count_rejected(self, tmp_path):
-        """A chunk claiming more records than the header declares is corrupt."""
-        path = write_trace(_small_trace(), tmp_path / "trace.trc")
-        data = bytearray(path.read_bytes())
-        offset = len(TRACE_MAGIC)
-        (header_length,) = struct.unpack_from("<I", data, offset)
-        chunk_offset = offset + 4 + header_length
-        struct.pack_into("<I", data, chunk_offset, 10_000)
-        path.write_bytes(bytes(data))
-        with pytest.raises(TraceError, match="corrupt"):
-            read_trace(path)

@@ -8,6 +8,7 @@ from repro.isa.instruction import make_instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import BasicBlock
 from repro.isa.registers import ELEMENT_SIZE_BYTES, VECTOR_REGISTER_LENGTH, s_reg, v_reg
+from repro.trace.columns import NO_ADDRESS
 from repro.trace.generator import RegionAllocator, TraceBuilder
 
 
@@ -19,6 +20,16 @@ def _simple_block(vl=64, region="x"):
     builder.vector_op(Opcode.V_ADD, v_reg(1), [v_reg(0), v_reg(0)])
     builder.vector_store(v_reg(1), "y")
     return block
+
+
+def _static(trace):
+    """The static instruction of every dynamic slot, in trace order."""
+    columns = trace.columns
+    return [columns.instructions[index] for index in columns.insn]
+
+
+def _one_instruction_block(instruction):
+    return BasicBlock("loose", [instruction])
 
 
 class TestRegionAllocator:
@@ -62,24 +73,30 @@ class TestTraceBuilder:
         builder = TraceBuilder("demo")
         builder.append_block(_simple_block(vl=33))
         trace = builder.build()
-        vector_records = [r for r in trace if r.is_vector]
-        assert all(r.vector_length == 33 for r in vector_records)
+        vector_lengths = [
+            trace.columns.vl[i]
+            for i, instruction in enumerate(_static(trace))
+            if instruction.is_vector
+        ]
+        assert vector_lengths and all(vl == 33 for vl in vector_lengths)
 
     def test_set_vl_requires_immediate(self):
         builder = TraceBuilder("demo")
         bad = make_instruction(Opcode.SET_VL)
         with pytest.raises(TraceError):
-            builder.append_instruction(bad)
+            builder.append_block(_one_instruction_block(bad))
 
     def test_set_vl_range_checked(self):
         builder = TraceBuilder("demo")
         bad = make_instruction(Opcode.SET_VL, immediate=VECTOR_REGISTER_LENGTH + 1)
         with pytest.raises(TraceError):
-            builder.append_instruction(bad)
+            builder.append_block(_one_instruction_block(bad))
 
     def test_set_vs_updates_stride_state(self):
         builder = TraceBuilder("demo")
-        builder.append_instruction(make_instruction(Opcode.SET_VS, immediate=4))
+        builder.append_block(
+            _one_instruction_block(make_instruction(Opcode.SET_VS, immediate=4))
+        )
         assert builder.vector_stride == 4
 
     def test_region_offsets_advance_addresses(self):
@@ -88,8 +105,12 @@ class TestTraceBuilder:
         builder.append_block(block, region_offsets={"x": 0})
         builder.append_block(block, region_offsets={"x": 64})
         trace = builder.build()
-        loads = [r for r in trace if r.is_load]
-        assert loads[1].base_address - loads[0].base_address == 64 * ELEMENT_SIZE_BYTES
+        loads = [
+            trace.columns.addr[i]
+            for i, instruction in enumerate(_static(trace))
+            if instruction.is_load
+        ]
+        assert loads[1] - loads[0] == 64 * ELEMENT_SIZE_BYTES
 
     def test_block_counting(self):
         builder = TraceBuilder("demo")
@@ -104,7 +125,7 @@ class TestTraceBuilder:
         builder = TraceBuilder("demo")
         builder.append_block(_simple_block())
         trace = builder.build()
-        assert [r.sequence for r in trace] == list(range(len(trace)))
+        assert list(trace.columns.seq) == list(range(len(trace)))
 
     def test_memory_stride_comes_from_operand(self):
         block = BasicBlock("strided")
@@ -114,8 +135,8 @@ class TestTraceBuilder:
         builder = TraceBuilder("demo")
         builder.append_block(block)
         trace = builder.build()
-        load = [r for r in trace if r.is_load][0]
-        assert load.stride_elements == 5
+        load = [i for i, insn in enumerate(_static(trace)) if insn.is_load][0]
+        assert trace.columns.stride[load] == 5
 
     def test_scalar_memory_gets_addresses_too(self):
         block = BasicBlock("scalar")
@@ -125,7 +146,13 @@ class TestTraceBuilder:
         builder = TraceBuilder("demo")
         builder.append_block(block)
         trace = builder.build()
-        assert all(r.base_address is not None for r in trace if r.is_memory)
+        addresses = [
+            trace.columns.addr[i]
+            for i, instruction in enumerate(_static(trace))
+            if instruction.is_memory
+        ]
+        assert len(addresses) == 2
+        assert NO_ADDRESS not in addresses
 
     def test_metadata_contains_regions(self):
         builder = TraceBuilder("demo")

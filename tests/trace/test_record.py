@@ -1,102 +1,15 @@
-"""Tests for dynamic trace records."""
+"""Tests for the :class:`Trace` container."""
 
 import pytest
 
 from repro.common.errors import TraceError
 from repro.isa.builder import InstructionBuilder
-from repro.isa.instruction import MemoryOperand, make_instruction
+from repro.isa.instruction import make_instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import BasicBlock
 from repro.isa.registers import s_reg, v_reg
-from repro.trace.record import DynamicInstruction, Trace
-
-
-def _vector_load(region="x", stride=1, spill=False):
-    return make_instruction(
-        Opcode.V_LOAD,
-        destinations=[v_reg(0)],
-        memory=MemoryOperand(region=region, stride=stride, is_spill=spill),
-    )
-
-
-def _vector_add():
-    return make_instruction(
-        Opcode.V_ADD, destinations=[v_reg(2)], sources=[v_reg(0), v_reg(1)]
-    )
-
-
-class TestDynamicInstruction:
-    def test_memory_record_requires_address(self):
-        with pytest.raises(TraceError):
-            DynamicInstruction(instruction=_vector_load(), sequence=0)
-
-    def test_negative_vector_length_rejected(self):
-        with pytest.raises(TraceError):
-            DynamicInstruction(
-                instruction=_vector_add(), sequence=0, vector_length=-1
-            )
-
-    def test_operations_counts_elements_for_vectors(self):
-        record = DynamicInstruction(
-            instruction=_vector_add(), sequence=0, vector_length=100
-        )
-        assert record.operations == 100
-        scalar = DynamicInstruction(
-            instruction=make_instruction(Opcode.S_ADD, destinations=[s_reg(0)]),
-            sequence=1,
-            vector_length=100,
-        )
-        assert scalar.operations == 1
-
-    def test_bytes_accessed(self):
-        record = DynamicInstruction(
-            instruction=_vector_load(),
-            sequence=0,
-            vector_length=32,
-            base_address=0x1000,
-        )
-        assert record.bytes_accessed == 32 * 8
-        compute = DynamicInstruction(
-            instruction=_vector_add(), sequence=1, vector_length=32
-        )
-        assert compute.bytes_accessed == 0
-
-    def test_stride_bytes(self):
-        record = DynamicInstruction(
-            instruction=_vector_load(stride=4),
-            sequence=0,
-            vector_length=8,
-            stride_elements=4,
-            base_address=0,
-        )
-        assert record.stride_bytes == 32
-
-    def test_classification_delegation(self):
-        record = DynamicInstruction(
-            instruction=_vector_load(spill=True),
-            sequence=0,
-            vector_length=16,
-            base_address=0x2000,
-        )
-        assert record.is_vector
-        assert record.is_memory
-        assert record.is_load
-        assert record.is_vector_memory
-        assert record.is_spill_access
-        assert not record.is_indexed_memory
-        assert not record.is_branch
-
-    def test_string_rendering(self):
-        record = DynamicInstruction(
-            instruction=_vector_load(),
-            sequence=7,
-            vector_length=64,
-            base_address=0x1234,
-        )
-        rendered = str(record)
-        assert "[7]" in rendered
-        assert "vl=64" in rendered
-        assert "0x1234" in rendered
+from repro.trace.record import Trace
+from repro.trace.statistics import compute_statistics
 
 
 class TestTrace:
@@ -108,36 +21,25 @@ class TestTrace:
         builder.vector_op(Opcode.V_ADD, v_reg(1), [v_reg(0), v_reg(0)])
 
         trace = Trace(name="demo")
-        trace.append(
-            DynamicInstruction(instruction=block.instructions[0], sequence=0)
+        trace.columns.append(block.instructions[0], sequence=0)
+        trace.columns.append(
+            block.instructions[1], sequence=1, vector_length=50, base_address=0x100
         )
-        trace.append(
-            DynamicInstruction(
-                instruction=block.instructions[1],
-                sequence=1,
-                vector_length=50,
-                base_address=0x100,
-            )
-        )
-        trace.append(
-            DynamicInstruction(
-                instruction=block.instructions[2], sequence=2, vector_length=50
-            )
-        )
+        trace.columns.append(block.instructions[2], sequence=2, vector_length=50)
+        stats = compute_statistics(trace)
         assert len(trace) == 3
-        assert trace.vector_instruction_count == 2
-        assert trace.scalar_instruction_count == 1
-        assert trace.vector_operation_count == 100
-        assert trace.memory_instruction_count == 1
-        assert trace[0].sequence == 0
+        assert stats.vector_instructions == 2
+        assert stats.scalar_instructions == 1
+        assert stats.vector_operations == 100
+        assert stats.memory_instructions == 1
+        assert trace.columns.seq[0] == 0
 
     def test_validate_detects_sequence_gaps(self):
         trace = Trace(name="demo")
-        trace.append(
-            DynamicInstruction(
-                instruction=make_instruction(Opcode.S_ADD, destinations=[s_reg(0)]),
-                sequence=3,
-            )
+        trace.columns.append(
+            make_instruction(Opcode.S_ADD, destinations=[s_reg(0)]), sequence=3
         )
-        with pytest.raises(TraceError):
+        with pytest.raises(TraceError, match="record 0 carries sequence number 3"):
+            trace.columns.validate()
+        with pytest.raises(TraceError, match="'demo'"):
             trace.validate()

@@ -16,6 +16,16 @@ def _compile(kernel):
     return compiler, compiler.compile(kernel)
 
 
+def _slots(trace, predicate):
+    """Trace positions whose static instruction satisfies ``predicate``."""
+    columns = trace.columns
+    return [
+        position
+        for position, index in enumerate(columns.insn)
+        if predicate(columns.instructions[index])
+    ]
+
+
 class TestCompilation:
     def test_one_block_per_distinct_strip_length(self):
         kernel = LoopKernel(name="k", elements=300, max_vector_length=128, fu_any_ops=1)
@@ -147,10 +157,10 @@ class TestEmission:
         builder = TraceBuilder("demo")
         compiled.emit_invocation(builder)
         trace = builder.build()
-        loads = [r for r in trace if r.opcode is Opcode.V_LOAD]
+        loads = _slots(trace, lambda insn: insn.opcode is Opcode.V_LOAD)
         # Two load streams, three strips each.
         assert len(loads) == 6
-        assert sum(r.vector_length for r in loads) == 2 * 300
+        assert sum(trace.columns.vl[i] for i in loads) == 2 * 300
 
     def test_stream_addresses_advance_between_strips(self):
         kernel = synthetic.daxpy(elements=256, max_vector_length=128)
@@ -159,10 +169,13 @@ class TestEmission:
         compiled.emit_invocation(builder)
         trace = builder.build()
         x_loads = [
-            r for r in trace if r.is_load and r.instruction.memory.region == "daxpy.x"
+            trace.columns.addr[i]
+            for i in _slots(
+                trace, lambda insn: insn.is_load and insn.memory.region == "daxpy.x"
+            )
         ]
         assert len(x_loads) == 2
-        assert x_loads[1].base_address == x_loads[0].base_address + 128 * 8
+        assert x_loads[1] == x_loads[0] + 128 * 8
 
     def test_spill_addresses_repeat_within_iteration(self):
         kernel = synthetic.spill_heavy(elements=256, max_vector_length=128, spill_pairs=1)
@@ -170,10 +183,15 @@ class TestEmission:
         builder = TraceBuilder("demo")
         compiled.emit_invocation(builder)
         trace = builder.build()
-        spills = [r for r in trace if r.is_spill_access and r.is_vector_memory]
+        spills = [
+            trace.columns.addr[i]
+            for i in _slots(
+                trace, lambda insn: insn.is_spill_access and insn.is_vector_memory
+            )
+        ]
         assert len(spills) == 4  # store+reload per strip, two strips
-        assert spills[0].base_address == spills[1].base_address
-        assert spills[2].base_address == spills[3].base_address
+        assert spills[0] == spills[1]
+        assert spills[2] == spills[3]
 
     def test_emit_program_repeats_invocations(self):
         kernel = synthetic.daxpy(elements=128, invocations=2)

@@ -39,14 +39,18 @@ class TestProgramModel:
     def test_small_scale_keeps_every_kernel(self):
         model = synthetic.simple_program(repetitions=8)
         trace = model.build_trace(scale=0.01)
-        labels = {record.block_label for record in trace}
+        columns = trace.columns
+        labels = {columns.block_labels[block] for block in columns.block}
         assert any("stream_triad" in label for label in labels)
         assert any("daxpy" in label for label in labels)
 
     def test_prologue_emitted_once(self):
         model = synthetic.simple_program()
         trace = model.build_trace()
-        prologue_records = [r for r in trace if "prologue" in r.block_label]
+        columns = trace.columns
+        prologue_records = [
+            block for block in columns.block if "prologue" in columns.block_labels[block]
+        ]
         assert len(prologue_records) == model.prologue_scalar_instructions
 
     def test_metadata_carries_targets_and_scale(self):
