@@ -5,7 +5,7 @@ import pytest
 from repro.isa.builder import InstructionBuilder
 from repro.isa.opcodes import Opcode
 from repro.isa.program import BasicBlock
-from repro.isa.registers import s_reg, v_reg
+from repro.isa.registers import ELEMENT_SIZE_BYTES, s_reg, v_reg
 from repro.trace.generator import TraceBuilder
 from repro.trace.statistics import compute_statistics
 
@@ -86,3 +86,17 @@ class TestComputeStatistics:
     def test_vector_length_histogram(self):
         stats = compute_statistics(_make_trace(vl=32, iterations=3))
         assert stats.vector_length_histogram.count(32) == 12
+
+    def test_scalar_records_count_one_operation_and_one_element(self):
+        """A scalar load moves one element and a vector add no memory, whatever
+        the vector length column holds for them."""
+        block = BasicBlock("mixed")
+        builder = InstructionBuilder(block)
+        builder.scalar_load(s_reg(0), "globals")
+        builder.vector_op(Opcode.V_ADD, v_reg(2), [v_reg(0), v_reg(1)])
+        trace_builder = TraceBuilder("mixed")
+        trace_builder.append_block(block)
+        stats = compute_statistics(trace_builder.build())
+        assert stats.scalar_memory_instructions == 1
+        assert stats.memory_bytes == ELEMENT_SIZE_BYTES
+        assert stats.total_operations == 1 + trace_builder.vector_length
