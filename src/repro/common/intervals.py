@@ -13,6 +13,7 @@ in one sweep over the interval endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from repro.common.errors import SimulationError
@@ -60,21 +61,24 @@ class IntervalRecorder:
     building block used by the simulators to describe functional-unit and
     memory-port occupancy.
 
-    Intervals are stored as two parallel integer lists — the simulators
-    record one per issued instruction, so the hot path is two list appends;
-    :class:`Interval` objects are materialized only when intervals are read
-    back.  The merged form is computed once and kept until the next
-    :meth:`record`, so a result that asks for both the state breakdown and
-    the busy time merges each resource once.
+    Intervals are stored as two parallel integer lists, ``starts`` and
+    ``ends``.  The tick loops append to them directly (every interval they
+    record is at least one cycle long); :meth:`record` is the checked form.
+    Readers work from the sorted starts and sorted ends, computed once and
+    kept until the next :meth:`record`: a set of half-open intervals covers
+    ``[starts[0], ends[-1])`` except the gaps ``[ends[k - 1], starts[k])``
+    where ``starts[k] > ends[k - 1]``, so busy time and the merged pieces
+    need no pairwise merge.  Direct appends must happen before the recorder
+    is first read.
     """
 
-    __slots__ = ("name", "_starts", "_ends", "_merged")
+    __slots__ = ("name", "starts", "ends", "_bounds")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._starts: list[int] = []
-        self._ends: list[int] = []
-        self._merged: tuple[tuple[int, int], ...] | None = None
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+        self._bounds: tuple[list[int], list[int]] | None = None
 
     def record(self, start: int, end: int) -> None:
         """Record that the resource was busy over ``[start, end)``.
@@ -84,9 +88,9 @@ class IntervalRecorder:
         vector instruction with vector length zero).
         """
         if end > start:
-            self._starts.append(start)
-            self._ends.append(end)
-            self._merged = None
+            self.starts.append(start)
+            self.ends.append(end)
+            self._bounds = None
         elif end < start:
             raise SimulationError(
                 f"resource {self.name!r}: busy interval ends ({end}) before it starts ({start})"
@@ -98,16 +102,23 @@ class IntervalRecorder:
 
     def record_all(self, other: "IntervalRecorder") -> None:
         """Record every interval another recorder holds (e.g. one unit of a pool)."""
-        self._starts.extend(other._starts)
-        self._ends.extend(other._ends)
-        self._merged = None
+        self.starts.extend(other.starts)
+        self.ends.extend(other.ends)
+        self._bounds = None
 
     @property
     def raw_intervals(self) -> Sequence[Interval]:
         """The intervals exactly as recorded (possibly overlapping)."""
         return tuple(
-            Interval(start, end) for start, end in zip(self._starts, self._ends)
+            Interval(start, end) for start, end in zip(self.starts, self.ends)
         )
+
+    def sorted_bounds(self) -> tuple[list[int], list[int]]:
+        """The recorded starts and ends, each sorted on its own (cached)."""
+        bounds = self._bounds
+        if bounds is None:
+            bounds = self._bounds = (sorted(self.starts), sorted(self.ends))
+        return bounds
 
     def merged_pairs(self) -> list[tuple[int, int]]:
         """The recorded intervals merged into disjoint sorted (start, end) pairs.
@@ -115,21 +126,16 @@ class IntervalRecorder:
         Touching intervals merge too, so consecutive pairs are separated by
         at least one idle cycle.
         """
-        return list(self._merged_pairs())
-
-    def _merged_pairs(self) -> tuple[tuple[int, int], ...]:
-        merged = self._merged
-        if merged is None:
-            pairs: list[list[int]] = []
-            for start, end in sorted(zip(self._starts, self._ends)):
-                if pairs and start <= pairs[-1][1]:
-                    tail = pairs[-1]
-                    if end > tail[1]:
-                        tail[1] = end
-                else:
-                    pairs.append([start, end])
-            merged = self._merged = tuple((start, end) for start, end in pairs)
-        return merged
+        starts, ends = self.sorted_bounds()
+        pairs = []
+        if starts:
+            first = starts[0]
+            for index in range(1, len(starts)):
+                if starts[index] > ends[index - 1]:
+                    pairs.append((first, ends[index - 1]))
+                    first = starts[index]
+            pairs.append((first, ends[-1]))
+        return pairs
 
     def merged(self) -> list[Interval]:
         """Return the recorded intervals merged into disjoint, sorted pieces."""
@@ -137,28 +143,68 @@ class IntervalRecorder:
 
     def busy_time(self) -> int:
         """Total number of distinct cycles during which the resource was busy."""
-        return sum(end - start for start, end in self._merged_pairs())
+        return _covered_cycles(*self.sorted_bounds())
 
     def busy_at(self, cycle: int) -> bool:
         """Return ``True`` when the resource is busy during ``cycle``."""
         return any(
-            start <= cycle < end for start, end in zip(self._starts, self._ends)
+            start <= cycle < end for start, end in zip(self.starts, self.ends)
         )
 
     def last_end(self) -> int:
         """Cycle at which the resource last became free (0 when never used)."""
-        if not self._ends:
+        if not self.ends:
             return 0
-        return max(self._ends)
+        return max(self.ends)
 
     def __len__(self) -> int:
-        return len(self._starts)
+        return len(self.starts)
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.raw_intervals)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"IntervalRecorder(name={self.name!r}, intervals={len(self._starts)})"
+        return f"IntervalRecorder(name={self.name!r}, intervals={len(self.starts)})"
+
+
+def _covered_cycles(starts: list[int], ends: list[int]) -> int:
+    """Cycles covered by the intervals whose sorted starts and ends are given."""
+    if not starts:
+        return 0
+    gaps = 0
+    for end, start in zip(ends, islice(starts, 1, None)):
+        if start > end:
+            gaps += start - end
+    return ends[-1] - starts[0] - gaps
+
+
+def idle_cycles(recorders: Sequence[IntervalRecorder], total_cycles: int) -> int:
+    """Cycles of ``[0, total_cycles)`` during which every recorder is idle.
+
+    ``total_cycles`` less the size of the union of every recorded interval,
+    clipped to the run, from one sort of the recorders' sorted bounds (which
+    are runs, so the sort merges them).  It equals
+    ``state_breakdown(recorders, total_cycles).cycles_all_idle()`` without
+    the per-pattern sweep, and leaves each recorder's sorted bounds cached
+    for its :meth:`~IntervalRecorder.busy_time`.
+    """
+    if total_cycles <= 0:
+        return 0
+    starts: list[int] = []
+    ends: list[int] = []
+    for recorder in recorders:
+        recorder_starts, recorder_ends = recorder.sorted_bounds()
+        starts += recorder_starts
+        ends += recorder_ends
+    if not starts:
+        return total_cycles
+    starts.sort()
+    ends.sort()
+    if starts[0] < 0 or ends[-1] > total_cycles:
+        # Clipping is monotone, so the bounds stay sorted.
+        starts = [min(max(start, 0), total_cycles) for start in starts]
+        ends = [min(max(end, 0), total_cycles) for end in ends]
+    return total_cycles - _covered_cycles(starts, ends)
 
 
 def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
@@ -243,7 +289,7 @@ def state_breakdown(
     low = (1 << shift) - 1
     endpoints = []
     for resource, recorder in enumerate(recorders):
-        for start, end in recorder._merged_pairs():
+        for start, end in recorder.merged_pairs():
             if start < 0:
                 start = 0
             if end > total_cycles:

@@ -1,25 +1,22 @@
 """Timestamped bounded FIFO queues.
 
 The decoupled simulator never steps cycles; instead every queue keeps, per
-entry, the cycle at which the producer reserved the slot, the cycle at which
-the entry's data became available, and the cycle at which the consumer
-released the slot.  Because producers and consumers both work through the
-program in order, the blocking behaviour of a bounded FIFO reduces to simple
-timestamp arithmetic:
+entry, the cycle at which the producer reserved the slot and the cycle at
+which the consumer released it.  Because producers and consumers both work
+through the program in order, the blocking behaviour of a bounded FIFO
+reduces to simple timestamp arithmetic:
 
 * a push must wait until the entry ``capacity`` positions earlier has been
-  released, and
-* a pop must wait until the entry at the head of the queue is ready.
+  released — a slot is reusable on the very cycle its entry is popped, not
+  the cycle after, and
+* an entry may be popped on the cycle it was pushed (zero residency), never
+  earlier.
 
-Entry lifetimes are stored as three parallel timestamp lists rather than one
-object per entry: the simulator pushes into these queues for every dynamic
-instruction, so the columnar layout keeps the hot path to integer list
-operations.  The tick core writes those lists directly for the queues whose
-every entry is popped within the traced instruction that pushed it (the
-instruction queues, the AVDQ and the ASDQ) and syncs the FIFO head with
-:meth:`TimedQueue.released_through` after the run; the store queues, whose
-entries leave when stores drain, go through :meth:`TimedQueue.push` and
-:meth:`TimedQueue.pop`.
+Entry lifetimes are stored as two parallel timestamp lists rather than one
+object per entry, and the tick core applies both rules while it appends to
+those lists directly: pops are appended in FIFO order, so entry ``k`` has
+been released exactly when ``k < len(pop_times)``.  What this class adds is
+the capacity and the occupancy timeline the result builds from the lists.
 """
 
 from __future__ import annotations
@@ -33,15 +30,7 @@ from repro.common.timeline import OccupancyTimeline
 class TimedQueue:
     """A bounded FIFO described entirely by timestamps."""
 
-    __slots__ = (
-        "name",
-        "capacity",
-        "push_times",
-        "ready_times",
-        "pop_times",
-        "_next_pop_index",
-        "push_stall_cycles",
-    )
+    __slots__ = ("name", "capacity", "push_times", "pop_times")
 
     def __init__(self, name: str, capacity: int) -> None:
         if capacity <= 0:
@@ -49,106 +38,20 @@ class TimedQueue:
         self.name = name
         self.capacity = capacity
         self.push_times: List[int] = []
-        self.ready_times: List[int] = []
-        self.pop_times: List[Optional[int]] = []
-        self._next_pop_index = 0
-        self.push_stall_cycles = 0
-
-    # -- producer side ---------------------------------------------------------------
-
-    def slot_free_time(self) -> int:
-        """Cycle the next push's slot becomes free, independent of the push.
-
-        Zero while the queue is under capacity; otherwise the *release* cycle
-        of the entry ``capacity`` positions back — a slot is reusable on the
-        very cycle its pop happens, not the cycle after (the same-cycle rule
-        ``tests/engine/test_same_cycle_ordering.py`` pins).
-        """
-        index = len(self.push_times)
-        if index < self.capacity:
-            return 0
-        blocking = self.pop_times[index - self.capacity]
-        if blocking is None:
-            raise SimulationError(
-                f"queue {self.name!r}: entry {index - self.capacity} has not been "
-                f"released yet; the consumer must be simulated first"
-            )
-        return blocking
-
-    def earliest_push(self, requested: int) -> int:
-        """Earliest cycle a new entry can be accepted, given the capacity."""
-        blocking = self.slot_free_time()
-        return blocking if blocking > requested else requested
-
-    def push(self, requested: int, ready: Optional[int] = None) -> int:
-        """Reserve a slot at the earliest legal cycle and return that cycle."""
-        push_time = self.earliest_push(requested)
-        self.push_stall_cycles += push_time - requested
-        self.push_times.append(push_time)
-        self.ready_times.append(ready if ready is not None else push_time)
-        self.pop_times.append(None)
-        return push_time
-
-    def push_at(self, push_time: int, ready: int) -> int:
-        """Append an entry at a cycle the caller has already legalized.
-
-        The fast path for producers that called :meth:`earliest_push`
-        themselves (the fetch processor computes one push cycle across
-        several queues): no capacity re-check, no stall accounting — both
-        are the caller's responsibility.  Returns the new entry's index.
-        """
-        self.push_times.append(push_time)
-        self.ready_times.append(ready)
-        self.pop_times.append(None)
-        return len(self.push_times) - 1
-
-    # -- consumer side ----------------------------------------------------------------
-
-    def pop(self, requested: int) -> None:
-        """Release the entry at the head of the queue at ``requested`` or later.
-
-        The caller decides what "consuming" means (for instruction queues the
-        pop time is the cycle the instruction issues; for data queues it is the
-        cycle the last element has been drained) — this method only checks FIFO
-        order and records the release time.
-        """
-        index = self._next_pop_index
-        if index >= len(self.push_times):
-            raise SimulationError(f"queue {self.name!r}: pop with no outstanding entry")
-        push_time = self.push_times[index]
-        if requested < push_time:
-            raise SimulationError(
-                f"queue {self.name!r}: pop at {requested} precedes push at {push_time}"
-            )
-        self.pop_times[index] = requested
-        self._next_pop_index += 1
-
-    def released_through(self, count: int) -> None:
-        """Record that the first ``count`` entries have been popped.
-
-        For consumers that write the timestamp lists themselves (the tick
-        core's instruction queues, AVDQ and ASDQ, whose every entry is popped
-        within the traced instruction that pushed it): one call after the run
-        brings the FIFO head up to date.
-        """
-        self._next_pop_index = count
-
-    # -- statistics ----------------------------------------------------------------------
-
-    @property
-    def total_entries(self) -> int:
-        return len(self.push_times)
+        self.pop_times: List[int] = []
 
     @property
     def outstanding(self) -> int:
-        return len(self.push_times) - self._next_pop_index
+        """Entries pushed and not yet released."""
+        return len(self.push_times) - len(self.pop_times)
 
     def occupancy_timeline(self, name: Optional[str] = None, horizon: int = 0) -> OccupancyTimeline:
         """Residency records of every entry (unreleased entries last to ``horizon``)."""
         timeline = OccupancyTimeline(name or self.name, capacity=self.capacity)
         for push_time, pop_time in zip(self.push_times, self.pop_times):
-            leave = pop_time if pop_time is not None else max(horizon, push_time)
-            timeline.record(push_time, leave)
+            timeline.record(push_time, pop_time)
+        for push_time in self.push_times[len(self.pop_times):]:
+            timeline.record(push_time, max(horizon, push_time))
         return timeline
 
     def __len__(self) -> int:

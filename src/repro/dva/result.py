@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List
 
-from repro.common.intervals import IntervalRecorder, StateBreakdown, state_breakdown
+from repro.common.intervals import IntervalRecorder, idle_cycles
 from repro.common.stats import Histogram
 from repro.common.timeline import OccupancySummary, OccupancyTimeline
 
@@ -26,8 +26,8 @@ class DecoupledResult:
     bypass statistics of Section 7 and per-processor instruction counts.
 
     Derived metrics are computed once, on first use: one sweep of the AVDQ
-    residencies yields its histogram, peak and mean, and one endpoint sweep
-    yields the state breakdown.  The VADQ and instruction-queue timelines,
+    residencies yields its histogram, peak and mean, and the idle count is
+    one union of the FU2, FU1 and port intervals.  The VADQ and instruction-queue timelines,
     which no report reads, are built from ``timeline_queues`` only when
     asked for.
     """
@@ -59,7 +59,6 @@ class DecoupledResult:
     scalar_cache_hits: int = 0
     scalar_cache_misses: int = 0
 
-    _breakdown: StateBreakdown | None = field(default=None, repr=False, compare=False)
     _avdq: OccupancySummary | None = field(default=None, repr=False, compare=False)
     _timelines: Dict[str, OccupancyTimeline] = field(
         default_factory=dict, repr=False, compare=False
@@ -67,18 +66,10 @@ class DecoupledResult:
 
     # -- unit-state analysis (Figures 1/4 style) ---------------------------------------
 
-    def state_breakdown(self) -> StateBreakdown:
-        """Cycles in each (FU2, FU1, LD) combination — comparable to the REF breakdown."""
-        if self._breakdown is None:
-            self._breakdown = state_breakdown(
-                [self.fu2_busy, self.fu1_busy, self.port_busy], self.total_cycles
-            )
-        return self._breakdown
-
     @property
     def all_idle_cycles(self) -> int:
         """Cycles with FU2, FU1 and the memory port all idle (paper's ``( , , )``)."""
-        return self.state_breakdown().cycles_all_idle()
+        return idle_cycles([self.fu2_busy, self.fu1_busy, self.port_busy], self.total_cycles)
 
     @property
     def port_idle_fraction(self) -> float:

@@ -7,9 +7,9 @@ executes the instruction itself, and the processor that executes the hidden
 QMOV companion the fetch processor generated for it.  Because every processor
 works through its stream in order and all queues are FIFO, the blocking
 behaviour of the bounded queues reduces to timestamp arithmetic on each
-:class:`~repro.dva.queues.TimedQueue`'s push/ready/pop lists, and each issue
-cycle is the running ``max`` of the constraints on it — the timing a
-cycle-stepped simulation would give, without stepping cycles.
+:class:`~repro.dva.queues.TimedQueue`'s push/pop lists, and each issue cycle
+is the running ``max`` of the constraints on it — the timing a cycle-stepped
+simulation would give, without stepping cycles.
 
 The timing machinery — the owner-aware register scoreboard, the per-processor
 issue pointers, the functional-unit/QMOV/port pools, fetch-stall accounting
@@ -23,17 +23,18 @@ operand and destination registers are bound to their
 :class:`~repro.engine.scoreboard.RegisterEntry` objects, so the issue rules
 read and write ``ready``/``chain_start``/``owner`` directly.  The dynamic
 facts — vector length, stride, base address — are integer column reads held
-in locals, as are the processors' issue pointers and the timestamp lists of
-the queues whose entries live within one traced instruction (the three
-instruction queues, the AVDQ and the ASDQ), which the issue rules append to
-directly.  Stores go through the
-:class:`~repro.dva.address.MemoryPipeline`, which keeps its queued stores in
-columns.  The decoupling (and its limits) emerge from the
-timestamps: the address processor is free to run ahead of the vector
-processor because nothing it does waits for vector computation — until it
-meets a full queue, a memory hazard against a queued store, or a scalar
-value that the slower side has not produced yet (the DYFESM lockstep case of
-paper §5).
+in locals, as are the processors' issue pointers and every queue's timestamp
+list.  The memory side of the address processor (paper §4.2) is loop code on
+locals too: the pipelined port with its shared address bus, the two-step
+store mechanism (store addresses wait in the VSAQ/SSAQ until the data
+arrives in the VADQ/SADQ, then the store is performed behind the AP's back),
+dynamic disambiguation of every load against the queued stores, the §7
+store→load bypass and the scalar cache in front of the port.  The decoupling
+(and its limits) emerge from the timestamps: the address processor is free
+to run ahead of the vector processor because nothing it does waits for
+vector computation — until it meets a full queue, a memory hazard against a
+queued store, or a scalar value that the slower side has not produced yet
+(the DYFESM lockstep case of paper §5).
 """
 
 from __future__ import annotations
@@ -41,16 +42,17 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.common.errors import SimulationError
-from repro.dva.address import MemoryPipeline
+from repro.common.intervals import IntervalRecorder
 from repro.dva.config import DecoupledConfig
 from repro.dva.fetch import Processor, route_instruction
 from repro.dva.queues import TimedQueue
 from repro.dva.result import DecoupledResult
 from repro.dva.vector import _FU1, _FU2, VectorExecutionResources
-from repro.engine import TimingCore
+from repro.engine import MemoryFabric, TimingCore
 from repro.isa.opcodes import Opcode
-from repro.isa.registers import Register, RegisterClass
+from repro.isa.registers import ELEMENT_SIZE_BYTES, Register, RegisterClass
 from repro.memory.model import MemoryModel
+from repro.memory.ranges import access_bounds
 from repro.trace.columns import ColumnarTrace, InstructionInfo
 from repro.trace.record import Trace
 
@@ -190,18 +192,30 @@ class _DecoupledState:
 
     def __init__(self, memory: MemoryModel, config: DecoupledConfig) -> None:
         self.config = config
+        self.memory = memory
         self.core = TimingCore(default_owner=_default_owner)
-        self.memory = MemoryPipeline(memory, config)
+        self.fabric = MemoryFabric(
+            config.scalar_cache,
+            ports=config.memory_ports,
+            scalar_store_writes_through=config.scalar_store_writes_through,
+        )
         self.resources = VectorExecutionResources(
             qmov_unit_count=config.qmov_units, lanes=config.lanes
         )
 
-        queue_size = config.queues.instruction_queue
-        self.apiq = TimedQueue("APIQ", queue_size)
-        self.vpiq = TimedQueue("VPIQ", queue_size)
-        self.spiq = TimedQueue("SPIQ", queue_size)
-        # Indexed by the routing table's integer queue ids.
-        self._iqs = (self.apiq, self.vpiq, self.spiq)
+        queues = config.queues
+        self.apiq = TimedQueue("APIQ", queues.instruction_queue)
+        self.vpiq = TimedQueue("VPIQ", queues.instruction_queue)
+        self.spiq = TimedQueue("SPIQ", queues.instruction_queue)
+        self.avdq = TimedQueue("AVDQ", queues.vector_load_data)
+        self.asdq = TimedQueue("ASDQ", queues.scalar_data)
+        # The VADQ's pop list is the drain cycle of every vector store, which
+        # is also when its VSAQ slot is released.
+        self.vadq = TimedQueue("VADQ", queues.vector_store_data)
+        self.bypass = IntervalRecorder("BYPASS")
+        self.bypass_free = 0
+        # Completion of the wind-down drain of the store queues.
+        self.drain_end = 0
 
         # Per-processor issue pointers: each processor is a one-unit pool
         # whose free time is the cycle it will look at its next instruction
@@ -220,6 +234,14 @@ class _DecoupledState:
         self.sp_count = 0
         self.vector_loads = 0
         self.vector_stores = 0
+        self.bypassed_loads = 0
+        self.bypassed_bytes = 0
+        self.disambiguation_stalls = 0
+        # Provenance of the memory path, not part of the result: stores
+        # performed early to make room in each full store queue, and scalar
+        # stores that hit the cache and still wrote through to memory.
+        self.forced_drains = dict.fromkeys(("VSAQ", "SSAQ", "VADQ", "SADQ"), 0)
+        self.write_through_hits = 0
 
     # -- per-run operand binding ------------------------------------------------------------
 
@@ -289,12 +311,21 @@ class _DecoupledState:
         write those queues' timestamp lists directly: a push appends the
         push cycle, the issuing processor appends the pop cycle, and the
         entry ``capacity`` places back — the one a push waits for — has
-        always been released.  Instruction-queue ready cycles (push + 1) are
-        filled in once after the loop.  A full APIQ/VPIQ/SPIQ holds the
-        fetch processor and a full AVDQ holds the AP; a full ASDQ only
-        records its push late (the AP goes on).  The store queues keep their
-        :class:`~repro.dva.queues.TimedQueue` methods: their entries leave
-        when stores drain, long after the push.
+        always been released.  A full APIQ/VPIQ/SPIQ holds the fetch
+        processor and a full AVDQ holds the AP; a full ASDQ only records its
+        push late (the AP goes on).
+
+        The memory side is written in the loop too.  Queued stores are
+        parallel lists indexed by store number (program order); stores are
+        performed oldest first, so numbers from ``next_store`` on are still
+        queued.  A store's number is known when its address enters the
+        VSAQ/SSAQ, and its QMOV companion, in the same traced instruction,
+        appends the cycle both its address and data are present.  The VSAQ
+        and the VADQ release a vector store's slots when it is performed,
+        and so do the SSAQ and the SADQ for a scalar store, so one list of
+        drain cycles per kind serves both queues of the pair.  A full store
+        queue forces the oldest store out (``forced_drains``).  The pass
+        ends with the wind-down drain of every store still queued.
         """
         columns = trace.columns
         bound = self._bind(columns.instruction_infos(), _routing_table(columns))
@@ -315,30 +346,91 @@ class _DecoupledState:
         vp_pops = self.vpiq.pop_times
         sp_pushes = self.spiq.push_times
         sp_pops = self.spiq.pop_times
+        avdq_capacity = self.avdq.capacity
+        avdq_pushes = self.avdq.push_times
+        avdq_pops = self.avdq.pop_times
+        asdq_capacity = self.asdq.capacity
+        asdq_pushes = self.asdq.push_times
+        asdq_pops = self.asdq.pop_times
 
         fus = self.resources.fus
         fu_free = fus.free
-        fu_record = tuple(recorder.record for recorder in fus.recorders)
+        fu_starts = tuple(recorder.starts for recorder in fus.recorders)
+        fu_ends = tuple(recorder.ends for recorder in fus.recorders)
         qmovs = self.resources.qmovs
         qmov_free = qmovs.free
-        qmov_record = tuple(recorder.record for recorder in qmovs.recorders)
+        qmov_starts = tuple(recorder.starts for recorder in qmovs.recorders)
+        qmov_ends = tuple(recorder.ends for recorder in qmovs.recorders)
 
-        memory = self.memory
-        issue_vector_load = memory.issue_vector_load
-        issue_scalar_load = memory.issue_scalar_load
-        enqueue_vector_store = memory.enqueue_vector_store
-        enqueue_scalar_store = memory.enqueue_scalar_store
-        reserve_store_slot = memory.reserve_vector_store_data_slot
-        attach_vector_store_data = memory.attach_vector_store_data
-        attach_scalar_store_data = memory.attach_scalar_store_data
-        avdq_capacity = memory.avdq.capacity
-        avdq_pushes = memory.avdq.push_times
-        avdq_readies = memory.avdq.ready_times
-        avdq_pops = memory.avdq.pop_times
-        asdq_capacity = memory.asdq.capacity
-        asdq_pushes = memory.asdq.push_times
-        asdq_readies = memory.asdq.ready_times
-        asdq_pops = memory.asdq.pop_times
+        timings = self.memory.timings
+        latency = timings.latency
+        bus_cycles_per_element = timings.bus_cycles_per_element
+        scalar_bus_cycles = timings.scalar_bus_cycles
+        fabric = self.fabric
+        cache_access = fabric.cache.access
+        hit_latency = fabric.cache.config.hit_latency
+        writes_through = fabric.scalar_store_writes_through
+        port_free = fabric.ports.free
+        port_starts = tuple(recorder.starts for recorder in fabric.ports.recorders)
+        port_ends = tuple(recorder.ends for recorder in fabric.ports.recorders)
+        single_port = len(port_free) == 1
+        bypass_enabled = config.enable_bypass
+        bypass_starts = self.bypass.starts
+        bypass_ends = self.bypass.ends
+        bypass_free = self.bypass_free
+
+        vsaq_capacity = config.queues.effective_vector_store_address
+        ssaq_capacity = config.queues.scalar_store_address
+        sadq_capacity = config.queues.scalar_data
+        vadq_capacity = self.vadq.capacity
+        # Drain cycles of the vector and the scalar stores, in order: the
+        # release cycles of their VSAQ+VADQ and SSAQ+SADQ slots.  Every
+        # vector store before the current one has its data in the VADQ, and
+        # ``scalar_stores`` counts the scalar stores with data in the SADQ.
+        vadq_pushes = self.vadq.push_times
+        vector_drains = self.vadq.pop_times
+        scalar_drains: List[int] = []
+        scalar_stores = 0
+        # The queued stores.  ``store_lows``/``store_highs`` are the byte
+        # bounds of :func:`~repro.memory.ranges.access_bounds` loads are
+        # disambiguated against; ``store_lengths`` is ``None`` for a scalar
+        # store and ``store_strides`` is ``None`` for a store no load can
+        # bypass from (a scatter or a scalar store).
+        store_lows: List[float] = []
+        store_highs: List[float] = []
+        store_bases: List[int] = []
+        store_lengths: List[Optional[int]] = []
+        store_strides: List[Optional[int]] = []
+        store_ready: List[int] = []
+        next_store = 0
+        traffic = write_through_hits = 0
+        forced_vsaq = forced_ssaq = forced_vadq = forced_sadq = 0
+
+        def drain(number: int) -> int:
+            """Perform queued store ``number``; return the cycle it leaves its queues."""
+            nonlocal traffic, write_through_hits
+            ready = store_ready[number]
+            length = store_lengths[number]
+            if length is None:
+                if cache_access(store_bases[number]):
+                    if not writes_through:
+                        scalar_drains.append(ready + 1)
+                        return ready + 1
+                    write_through_hits += 1
+                cycles = scalar_bus_cycles
+                traffic += ELEMENT_SIZE_BYTES
+                drains = scalar_drains
+            else:
+                cycles = (length if length > 1 else 1) * bus_cycles_per_element
+                traffic += length * ELEMENT_SIZE_BYTES
+                drains = vector_drains
+            unit = 0 if single_port else port_free.index(min(port_free))
+            start = port_free[unit] if port_free[unit] > ready else ready
+            port_free[unit] = end = start + cycles
+            port_starts[unit].append(start)
+            port_ends[unit].append(end)
+            drains.append(end)
+            return end
 
         core = self.core
         horizon = core.horizon
@@ -348,6 +440,7 @@ class _DecoupledState:
         sp_time = self.sp.free[0]
         ap_count = vp_count = sp_count = 0
         vector_loads = vector_stores = 0
+        bypassed_loads = bypassed_bytes = disambiguation_stalls = 0
 
         for index in range(len(insn)):
             op, reads, writes, moved, flag, info = bound[insn[index]]
@@ -386,8 +479,9 @@ class _DecoupledState:
                 unit = _FU2 if flag or fu_free[_FU1] > fu_free[_FU2] else _FU1
                 if fu_free[unit] > start:
                     start = fu_free[unit]
-                fu_free[unit] = start + busy
-                fu_record[unit](start, start + busy)
+                fu_free[unit] = end = start + busy
+                fu_starts[unit].append(start)
+                fu_ends[unit].append(end)
                 vp_pops.append(start)
                 vp_time = start + 1
                 chain = start + fu_startup
@@ -465,16 +559,70 @@ class _DecoupledState:
                 continue
 
             length = lengths[index]
+            base = addresses[index]
             if op == _OP_VECTOR_LOAD:
                 vector_loads += 1
                 depth = len(avdq_pushes)
                 if depth >= avdq_capacity and avdq_pops[depth - avdq_capacity] > start:
                     start = avdq_pops[depth - avdq_capacity]
-                data_ready = issue_vector_load(
-                    addresses[index], length, strides[index], flag, start
-                )
+
+                # Disambiguation: the load waits for the youngest queued
+                # store it overlaps — or, with the bypass (§7), copies an
+                # identical strided store's data from the VADQ in VL cycles
+                # without the port or memory latency.  Other stores whose
+                # address and data are present go first.
+                issue = start
+                bypassed = False
+                if next_store < len(store_lows):
+                    stride = strides[index]
+                    low, high = access_bounds(base, length, stride, indexed=flag)
+                    number = len(store_lows) - 1
+                    while number >= next_store and not (
+                        store_lows[number] < high and low < store_highs[number]
+                    ):
+                        number -= 1
+                    if number >= next_store and (
+                        bypass_enabled
+                        and not flag
+                        and store_strides[number] == stride
+                        and store_bases[number] == base
+                        and store_lengths[number] == length
+                    ):
+                        if store_ready[number] > issue:
+                            issue = store_ready[number]
+                        if bypass_free > issue:
+                            issue = bypass_free
+                        bypass_free = data_ready = issue + (length if length > 1 else 1)
+                        bypassed = True
+                        bypass_starts.append(issue)
+                        bypass_ends.append(data_ready)
+                        bypassed_loads += 1
+                        bypassed_bytes += length * ELEMENT_SIZE_BYTES
+                    else:
+                        if number >= next_store:
+                            while next_store <= number:
+                                end = drain(next_store)
+                                next_store += 1
+                            if end > issue:
+                                issue = end
+                            disambiguation_stalls += 1
+                        while next_store < len(store_ready):
+                            ready_store = store_ready[next_store]
+                            if ready_store > issue and ready_store > min(port_free):
+                                break
+                            drain(next_store)
+                            next_store += 1
+                if not bypassed:
+                    cycles = (length if length > 1 else 1) * bus_cycles_per_element
+                    unit = 0 if single_port else port_free.index(min(port_free))
+                    if port_free[unit] > issue:
+                        issue = port_free[unit]
+                    port_free[unit] = end = issue + cycles
+                    port_starts[unit].append(issue)
+                    port_ends[unit].append(end)
+                    traffic += length * ELEMENT_SIZE_BYTES
+                    data_ready = end + latency
                 avdq_pushes.append(start)
-                avdq_readies.append(data_ready)
                 ap_pops.append(start)
                 ap_time = start + 1
 
@@ -491,7 +639,8 @@ class _DecoupledState:
                 if qmov_free[unit] > start:
                     start = qmov_free[unit]
                 end = qmov_free[unit] = start + length
-                qmov_record[unit](start, end)
+                qmov_starts[unit].append(start)
+                qmov_ends[unit].append(end)
                 vp_pops.append(start)
                 vp_time = start + 1
                 avdq_pops.append(end)
@@ -506,12 +655,26 @@ class _DecoupledState:
                     horizon = completion
 
             elif op == _OP_VECTOR_STORE:
+                # The address enters the VSAQ, whose slot ``capacity`` stores
+                # back is released when that store is performed.
                 vector_stores += 1
-                push = enqueue_vector_store(
-                    index, addresses[index], length, strides[index], flag, start
-                )
+                while len(vadq_pushes) - len(vector_drains) >= vsaq_capacity:
+                    forced_vsaq += 1
+                    drain(next_store)
+                    next_store += 1
+                depth = len(vadq_pushes)
+                push = start
+                if depth >= vsaq_capacity and vector_drains[depth - vsaq_capacity] > push:
+                    push = vector_drains[depth - vsaq_capacity]
+                stride = strides[index]
+                low, high = access_bounds(base, length, stride, indexed=flag)
+                store_lows.append(low)
+                store_highs.append(high)
+                store_bases.append(base)
+                store_lengths.append(length)
+                store_strides.append(None if flag else stride)
                 ap_pops.append(start)
-                ap_time = (push if push > start else start) + 1
+                ap_time = address_ready = push + 1
 
                 # QMOV on the VP: vector register → VADQ.
                 vp_count += 1
@@ -528,30 +691,68 @@ class _DecoupledState:
                     operand = moved.ready + cross
                 if operand > start:
                     start = operand
-                slot = reserve_store_slot(start)
-                if slot > start:
-                    start = slot
+                while len(vadq_pushes) - len(vector_drains) >= vadq_capacity:
+                    forced_vadq += 1
+                    drain(next_store)
+                    next_store += 1
+                if depth >= vadq_capacity and vector_drains[depth - vadq_capacity] > start:
+                    start = vector_drains[depth - vadq_capacity]
                 if length < 1:
                     length = 1
                 unit = qmov_free.index(min(qmov_free))
                 if qmov_free[unit] > start:
                     start = qmov_free[unit]
                 data_ready = qmov_free[unit] = start + length
-                qmov_record[unit](start, data_ready)
+                qmov_starts[unit].append(start)
+                qmov_ends[unit].append(data_ready)
                 vp_pops.append(start)
                 vp_time = start + 1
-                attach_vector_store_data(index, start, data_ready)
+                vadq_pushes.append(start)
+                store_ready.append(address_ready if address_ready > data_ready else data_ready)
                 if data_ready > horizon:
                     horizon = data_ready
 
             elif op == _OP_SCALAR_LOAD:
-                data_ready = issue_scalar_load(addresses[index], start)
+                # A load waits for the youngest queued store it overlaps; a
+                # cache hit then needs no port, a miss lets ready stores go
+                # first.
+                issue = start
+                if next_store < len(store_lows):
+                    high = base + ELEMENT_SIZE_BYTES
+                    number = len(store_lows) - 1
+                    while number >= next_store and not (
+                        store_lows[number] < high and base < store_highs[number]
+                    ):
+                        number -= 1
+                    if number >= next_store:
+                        while next_store <= number:
+                            end = drain(next_store)
+                            next_store += 1
+                        if end > issue:
+                            issue = end
+                        disambiguation_stalls += 1
+                if cache_access(base):
+                    data_ready = issue + hit_latency
+                else:
+                    while next_store < len(store_ready):
+                        ready_store = store_ready[next_store]
+                        if ready_store > issue and ready_store > min(port_free):
+                            break
+                        drain(next_store)
+                        next_store += 1
+                    unit = 0 if single_port else port_free.index(min(port_free))
+                    if port_free[unit] > issue:
+                        issue = port_free[unit]
+                    port_free[unit] = end = issue + scalar_bus_cycles
+                    port_starts[unit].append(issue)
+                    port_ends[unit].append(end)
+                    traffic += ELEMENT_SIZE_BYTES
+                    data_ready = issue + 1 + latency
                 depth = len(asdq_pushes)
                 if depth >= asdq_capacity and asdq_pops[depth - asdq_capacity] > start:
                     asdq_pushes.append(asdq_pops[depth - asdq_capacity])
                 else:
                     asdq_pushes.append(start)
-                asdq_readies.append(data_ready)
                 ap_pops.append(start)
                 ap_time = start + 1
 
@@ -570,9 +771,25 @@ class _DecoupledState:
                     moved.owner = _SCALAR
 
             else:
-                push = enqueue_scalar_store(index, addresses[index], start)
+                # The address enters the SSAQ, whose slot ``capacity`` scalar
+                # stores back is released when that store is performed.
+                while scalar_stores - len(scalar_drains) >= ssaq_capacity:
+                    forced_ssaq += 1
+                    drain(next_store)
+                    next_store += 1
+                push = start
+                if (
+                    scalar_stores >= ssaq_capacity
+                    and scalar_drains[scalar_stores - ssaq_capacity] > push
+                ):
+                    push = scalar_drains[scalar_stores - ssaq_capacity]
+                store_lows.append(base)
+                store_highs.append(base + ELEMENT_SIZE_BYTES)
+                store_bases.append(base)
+                store_lengths.append(None)
+                store_strides.append(None)
                 ap_pops.append(start)
-                ap_time = (push if push > start else start) + 1
+                ap_time = address_ready = push + 1
 
                 # QMOV on the SP: scalar register → SADQ.
                 sp_count += 1
@@ -583,7 +800,20 @@ class _DecoupledState:
                         start = operand
                 sp_pops.append(start)
                 sp_time = completion = start + 1
-                attach_scalar_store_data(index, start, completion)
+                while scalar_stores - len(scalar_drains) >= sadq_capacity:
+                    forced_sadq += 1
+                    drain(next_store)
+                    next_store += 1
+                scalar_stores += 1
+                store_ready.append(address_ready if address_ready > completion else completion)
+
+        # Wind-down: perform every store still queued.
+        drain_end = max(port_free)
+        while next_store < len(store_ready):
+            end = drain(next_store)
+            next_store += 1
+            if end > drain_end:
+                drain_end = end
 
         # The FP, AP and SP issue pointers only grow, and each one passed the
         # completion or data-ready cycle of everything its rules finished
@@ -595,33 +825,37 @@ class _DecoupledState:
         self.ap.free[0] = ap_time
         self.vp.free[0] = vp_time
         self.sp.free[0] = sp_time
-        for queue in self._iqs:
-            pushes = queue.push_times
-            queue.ready_times.extend(
-                [push_time + 1 for push_time in pushes[len(queue.ready_times):]]
-            )
-            queue.released_through(len(pushes))
-        for queue in (memory.avdq, memory.asdq):
-            queue.released_through(len(queue.push_times))
+        self.bypass_free = bypass_free
+        self.drain_end = drain_end
+        fabric.traffic_bytes += traffic
         self.fp_count += len(insn)
         self.ap_count += ap_count
         self.vp_count += vp_count
         self.sp_count += sp_count
         self.vector_loads += vector_loads
         self.vector_stores += vector_stores
+        self.bypassed_loads += bypassed_loads
+        self.bypassed_bytes += bypassed_bytes
+        self.disambiguation_stalls += disambiguation_stalls
+        forced = self.forced_drains
+        forced["VSAQ"] += forced_vsaq
+        forced["SSAQ"] += forced_ssaq
+        forced["VADQ"] += forced_vadq
+        forced["SADQ"] += forced_sadq
+        self.write_through_hits += write_through_hits
 
     # -- wind-down ------------------------------------------------------------------------------------------
 
     def finish(self, trace: Trace) -> DecoupledResult:
-        drain_end = self.memory.drain_all()
+        fabric = self.fabric
         total_cycles = self.core.finish_time(
             self.fp.free_time(),
             self.ap.free_time(),
             self.vp.free_time(),
             self.sp.free_time(),
-            self.memory.port_quiet,
-            self.memory.bypass_free,
-            drain_end,
+            fabric.port_quiet(),
+            self.bypass_free,
+            self.drain_end,
         )
         if not len(trace):
             total_cycles = 0
@@ -636,28 +870,28 @@ class _DecoupledState:
         }
         return DecoupledResult(
             program=trace.name,
-            latency=self.memory.memory.latency,
+            latency=self.memory.latency,
             total_cycles=total_cycles,
             instructions=len(trace),
             bypass_enabled=self.config.enable_bypass,
             fu1_busy=self.resources.fu1,
             fu2_busy=self.resources.fu2,
-            port_busy=self.memory.port,
+            port_busy=fabric.port_recorder(),
             qmov_busy=list(self.resources.qmov_units),
-            bypass_busy=self.memory.bypass_unit,
-            avdq_occupancy=self.memory.avdq.occupancy_timeline("AVDQ", horizon=total_cycles),
+            bypass_busy=self.bypass,
+            avdq_occupancy=self.avdq.occupancy_timeline("AVDQ", horizon=total_cycles),
             timeline_queues={
-                "VADQ": self.memory.vadq,
+                "VADQ": self.vadq,
                 "APIQ": self.apiq,
                 "VPIQ": self.vpiq,
                 "SPIQ": self.spiq,
             },
             instructions_per_processor=counts,
-            memory_traffic_bytes=self.memory.traffic_bytes,
-            bypassed_loads=self.memory.bypassed_loads,
-            bypassed_bytes=self.memory.bypassed_bytes,
-            disambiguation_stalls=self.memory.disambiguation_stalls,
+            memory_traffic_bytes=fabric.traffic_bytes,
+            bypassed_loads=self.bypassed_loads,
+            bypassed_bytes=self.bypassed_bytes,
+            disambiguation_stalls=self.disambiguation_stalls,
             fetch_stall_cycles=self.core.stalls.stalls("fetch"),
-            scalar_cache_hits=self.memory.cache.hits,
-            scalar_cache_misses=self.memory.cache.misses,
+            scalar_cache_hits=fabric.cache.hits,
+            scalar_cache_misses=fabric.cache.misses,
         )

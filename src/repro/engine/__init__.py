@@ -8,9 +8,10 @@ kernel:
 
 * :class:`Scoreboard` — register ready/chain-start/owner tracking.
 * :class:`ResourcePool` — *k* interchangeable units, each a free-time +
-  :class:`~repro.common.intervals.IntervalRecorder` pair, with the seed's
-  least-loaded/first-wins selection rule; :func:`occupancy_cycles` converts
-  vector lengths to busy cycles for multi-lane units.
+  :class:`~repro.common.intervals.IntervalRecorder` pair, which the tick
+  loops occupy in place with the seed's least-loaded/first-wins selection
+  rule; :func:`occupancy_cycles` converts vector lengths to busy cycles for
+  multi-lane units.
 * :class:`StallAccountant` — named stall counters and per-category cycles.
 * :class:`MemoryFabric` — the memory-port pool, the scalar cache in front of
   it, and traffic accounting, wired once for both machines.
@@ -33,7 +34,7 @@ over these primitives rather than a new 400-line simulator.
 #: implementation are not served as hits across the representation change.
 TIMING_MODEL_VERSION = 2
 
-from repro.engine.memory import MemoryFabric, ScalarAccess
+from repro.engine.memory import MemoryFabric
 from repro.engine.resources import ResourcePool, occupancy_cycles
 from repro.engine.scoreboard import RegisterEntry, Scoreboard
 from repro.engine.stalls import StallAccountant
@@ -44,7 +45,6 @@ __all__ = [
     "MemoryFabric",
     "RegisterEntry",
     "ResourcePool",
-    "ScalarAccess",
     "Scoreboard",
     "StallAccountant",
     "TimingCore",

@@ -1,71 +1,43 @@
 """The engine-level memory interface.
 
-Everything a simulated machine's issue rules need from the memory system sits
-behind :class:`MemoryFabric`: the (possibly multi-unit) memory-port pool, the
-scalar cache that filters scalar references away from the port, and traffic
-accounting.  The seed simulators wired :class:`~repro.memory.model.MemoryModel`
-and :class:`~repro.memory.scalar_cache.ScalarCache` together differently in
-``refarch`` and in the DVA's :class:`~repro.dva.address.MemoryPipeline`; both
-now share this one wiring.
+What a simulated machine's issue rules need from the memory system is wired
+once in :class:`MemoryFabric`: the (possibly multi-unit) memory-port pool,
+the scalar cache that filters scalar references away from the port, the
+write-through policy for scalar stores and traffic accounting.  Both tick
+loops read the port pool's ``free`` list and the cache's ``access`` into
+locals and write the issue arithmetic themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.common.intervals import IntervalRecorder
 from repro.engine.resources import ResourcePool
-from repro.memory.model import MemoryModel
 from repro.memory.scalar_cache import ScalarCache, ScalarCacheConfig
-
-
-@dataclass(frozen=True)
-class ScalarAccess:
-    """Outcome of presenting one scalar reference to the cache."""
-
-    hit: bool
-    uses_port: bool
-
-
-#: The three outcomes a scalar reference can have, shared rather than built
-#: per reference: ``_ACCESSES[hit][uses_port]`` (a hit that uses the port is
-#: a write-through store).
-_ACCESSES = (
-    (None, ScalarAccess(hit=False, uses_port=True)),
-    (ScalarAccess(hit=True, uses_port=False), ScalarAccess(hit=True, uses_port=True)),
-)
 
 
 class MemoryFabric:
     """Port pool, scalar cache and traffic accounting for one machine.
 
     ``ports`` widens the memory port: every bus occupation picks the
-    least-loaded port unit, so a dual-port machine is a constructor argument
-    rather than a simulator fork.  With one port the timing degenerates to the
-    seed's single ``port_free`` integer exactly.
+    least-loaded port unit (the first unit wins ties), so a dual-port
+    machine is a constructor argument rather than a simulator fork.  With
+    one port the timing degenerates to the seed's single ``port_free``
+    integer exactly.  Loads use the port only on a cache miss; stores also
+    on a hit when ``scalar_store_writes_through`` is set.
     """
 
     def __init__(
         self,
-        memory: MemoryModel,
         cache_config: Optional[ScalarCacheConfig] = None,
         ports: int = 1,
         scalar_store_writes_through: bool = False,
     ) -> None:
-        self.memory = memory
         self.cache = ScalarCache(cache_config)
         self.ports = ResourcePool("LD", ports)
         self.scalar_store_writes_through = scalar_store_writes_through
         self.traffic_bytes = 0
-
-    @property
-    def latency(self) -> int:
-        return self.memory.latency
-
-    def port_free(self) -> int:
-        """Earliest cycle at which some port unit is free."""
-        return self.ports.earliest_free()
 
     def port_quiet(self) -> int:
         """Cycle at which every port unit has finished (wind-down accounting)."""
@@ -74,35 +46,3 @@ class MemoryFabric:
     def port_recorder(self) -> IntervalRecorder:
         """Busy intervals of the port ("any unit busy" when multi-port)."""
         return self.ports.combined_recorder()
-
-    # -- scalar cache ------------------------------------------------------------------
-
-    def scalar_access_at(self, address: int, is_store: bool) -> ScalarAccess:
-        """Present one scalar reference to the cache; decide port usage.
-
-        Loads use the port only on a miss.  Stores additionally use it on a
-        hit when the machine writes through (both seed machines shared this
-        policy, each with its own copy of the code).
-        """
-        hit = self.cache.access(address)
-        uses_port = not hit or (is_store and self.scalar_store_writes_through)
-        return _ACCESSES[hit][uses_port]
-
-    def scalar_load_ready(self, access: ScalarAccess, start: int) -> int:
-        """Cycle a scalar load's value arrives, given its bus/issue start."""
-        if access.hit:
-            return start + self.cache.config.hit_latency
-        return start + 1 + self.memory.latency
-
-    # -- bus occupation ----------------------------------------------------------------
-
-    def occupy_bus(self, earliest: int, cycles: int, traffic: int) -> Tuple[int, int]:
-        """Drive one reference over a port for ``cycles``; return ``(start, end)``.
-
-        This is the hot-loop primitive: the caller supplies the bus occupancy
-        and the bytes moved (both derived from trace columns), the fabric
-        picks the least-loaded port unit and accounts the traffic.
-        """
-        start, _unit = self.ports.acquire(earliest, cycles)
-        self.traffic_bytes += traffic
-        return start, start + cycles

@@ -33,9 +33,12 @@ class ResourcePool:
     """A named group of interchangeable units with per-unit free times.
 
     Each unit pairs a next-free cycle with an optional
-    :class:`IntervalRecorder` of its busy intervals.  Selection among free
-    units is least-loaded with the *first* unit winning ties — exactly the
-    seed's ``fu1_free <= fu2_free`` rule, which golden tests pin.
+    :class:`IntervalRecorder` of its busy intervals.  The tick loops occupy
+    units in place: a request picks the least-loaded unit with the *first*
+    unit winning ties (``free.index(min(free))`` — exactly the seed's
+    ``fu1_free <= fu2_free`` rule, which golden tests pin), starts no
+    earlier than that unit's free cycle, moves the free cycle to its end and
+    appends ``[start, end)`` to the unit's recorder.
     """
 
     def __init__(
@@ -64,16 +67,6 @@ class ResourcePool:
     def __len__(self) -> int:
         return len(self.free)
 
-    # -- selection ---------------------------------------------------------------------
-
-    def least_loaded(self) -> int:
-        """Index of the unit that frees up first (first unit wins ties)."""
-        return min(range(len(self.free)), key=self.free.__getitem__)
-
-    def earliest_free(self) -> int:
-        """Earliest cycle at which *some* unit is free."""
-        return min(self.free)
-
     def latest_free(self) -> int:
         """Cycle at which *every* unit is free (the pool has gone quiet)."""
         return max(self.free)
@@ -81,39 +74,6 @@ class ResourcePool:
     def free_time(self, unit: int = 0) -> int:
         """Next-free cycle of one specific unit."""
         return self.free[unit]
-
-    # -- occupation --------------------------------------------------------------------
-
-    def acquire(
-        self, earliest: int, busy: int, unit: Optional[int] = None
-    ) -> Tuple[int, int]:
-        """Reserve a unit for ``busy`` cycles starting at the earliest legal cycle.
-
-        Picks the least-loaded unit unless ``unit`` pins one (the seed's
-        ``requires_fu2`` case).  Returns ``(start_cycle, unit_index)``.
-        """
-        if unit is None:
-            unit = self.least_loaded()
-        start = max(earliest, self.free[unit])
-        self.occupy(start, start + busy, unit)
-        return start, unit
-
-    def occupy(self, start: int, end: int, unit: int = 0) -> None:
-        """Mark one unit busy over ``[start, end)`` and move its free time.
-
-        The lower-level sibling of :meth:`acquire`, for callers that compute
-        the interval themselves (e.g. a processor whose issue pointer advances
-        one cycle while the work it started runs longer).
-        """
-        if end < start:
-            raise SimulationError(
-                f"resource pool {self.name!r}: busy interval ends ({end}) "
-                f"before it starts ({start})"
-            )
-        if self.recorders is not None:
-            self.recorders[unit].record(start, end)
-        if end > self.free[unit]:
-            self.free[unit] = end
 
     # -- statistics --------------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Main-memory timing model.
 
-The model captures the three facts both simulators rely on (paper §2.1, §4.2):
+The model holds the parameters of the three facts both simulators rely on
+(paper §2.1, §4.2); the tick loops apply them in place:
 
 * there is a single pipelined memory port with a shared address bus; a vector
   reference of length VL occupies the bus for exactly VL cycles, a scalar
@@ -45,7 +46,7 @@ class MemoryTimings:
 
 
 class MemoryModel:
-    """Answers timing questions about individual memory references."""
+    """The main-memory timings of one simulated machine."""
 
     def __init__(self, timings: MemoryTimings | None = None, latency: int | None = None) -> None:
         if timings is not None and latency is not None:
@@ -58,32 +59,10 @@ class MemoryModel:
     def latency(self) -> int:
         return self.timings.latency
 
-    def vector_bus_cycles(self, vector_length: int) -> int:
-        """Address-bus cycles a VL-element vector reference holds the port.
-
-        Vector references hold the bus for VL cycles (paper §4.2); a
-        zero-length vector reference still spends one cycle issuing.
-        """
-        elements = vector_length if vector_length > 1 else 1
-        return elements * self.timings.bus_cycles_per_element
-
     @property
     def scalar_bus_cycles(self) -> int:
         """Address-bus cycles one scalar reference holds the port."""
         return self.timings.scalar_bus_cycles
-
-    def load_ready(self, bus_start: int, bus_cycles: int) -> int:
-        """Cycle the *last* element of a load arrives, given its bus occupancy.
-
-        The port is pipelined: elements stream back one per bus cycle after
-        the initial latency.  Consumers that cannot chain off memory (both
-        architectures; paper §2.1 and §4.2) must wait for this cycle.
-        """
-        return bus_start + self.timings.latency + bus_cycles
-
-    def first_element_arrival(self, bus_start: int) -> int:
-        """Cycle at which the first element of a load starting at ``bus_start`` arrives."""
-        return bus_start + self.timings.latency
 
     def with_latency(self, latency: int) -> "MemoryModel":
         """Return a copy of this model with a different latency."""

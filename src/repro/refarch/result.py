@@ -5,7 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.common.intervals import IntervalRecorder, StateBreakdown, state_breakdown
+from repro.common.intervals import (
+    IntervalRecorder,
+    StateBreakdown,
+    idle_cycles,
+    state_breakdown,
+)
 
 
 @dataclass
@@ -48,7 +53,7 @@ class ReferenceResult:
     @property
     def all_idle_cycles(self) -> int:
         """Cycles in the paper's ``( , , )`` state: every vector unit idle."""
-        return self.state_breakdown().cycles_all_idle()
+        return idle_cycles([self.fu2_busy, self.fu1_busy, self.port_busy], self.total_cycles)
 
     @property
     def port_idle_cycles(self) -> int:

@@ -88,7 +88,6 @@ class _SimulationState:
         self.core = TimingCore()
         self.fus = self.core.add_pool("FU", count=2, unit_names=("FU1", "FU2"))
         self.fabric = MemoryFabric(
-            memory,
             config.scalar_cache,
             ports=config.memory_ports,
             scalar_store_writes_through=config.scalar_store_writes_through,
@@ -145,8 +144,12 @@ class _SimulationState:
         One pass over the columns: the static facts and bound scoreboard
         entries of each instruction come from :meth:`_bind`, the dynamic
         facts (VL, base address) from integer column reads, and the
-        dispatcher, the completion horizon, the stall counter and the
-        per-category cycles live in locals written back once at the end.
+        dispatcher, the completion horizon, the stall counter, the traffic
+        and the per-category cycles live in locals written back once at the
+        end.  Port occupation, bus cycles and load-ready arithmetic are
+        written in the loop on the port pool's ``free`` list; busy intervals
+        are appended straight to the recorders' lists.  The only call per
+        reference is the scalar cache's ``access``.
         """
         columns = trace.columns
         bound = self._bind(columns.instruction_infos())
@@ -158,17 +161,22 @@ class _SimulationState:
         lanes = config.lanes
         fu_startup = config.functional_unit_startup
         load_chaining = config.allow_load_chaining
-        memory = self.memory
-        vector_bus_cycles = memory.vector_bus_cycles
-        load_ready = memory.load_ready
-        first_element_arrival = memory.first_element_arrival
-        scalar_bus_cycles = memory.timings.scalar_bus_cycles
+        timings = self.memory.timings
+        latency = timings.latency
+        bus_cycles_per_element = timings.bus_cycles_per_element
+        scalar_bus_cycles = timings.scalar_bus_cycles
         fu_free = self.fus.free
-        fu_record = tuple(recorder.record for recorder in self.fus.recorders)
+        fu_starts = tuple(recorder.starts for recorder in self.fus.recorders)
+        fu_ends = tuple(recorder.ends for recorder in self.fus.recorders)
         fabric = self.fabric
-        occupy_bus = fabric.occupy_bus
-        scalar_access_at = fabric.scalar_access_at
-        scalar_load_ready = fabric.scalar_load_ready
+        cache_access = fabric.cache.access
+        hit_latency = fabric.cache.config.hit_latency
+        writes_through = fabric.scalar_store_writes_through
+        port_free = fabric.ports.free
+        port_starts = tuple(recorder.starts for recorder in fabric.ports.recorders)
+        port_ends = tuple(recorder.ends for recorder in fabric.ports.recorders)
+        single_port = len(port_free) == 1
+        traffic = 0
 
         core = self.core
         horizon = core.horizon
@@ -206,8 +214,9 @@ class _SimulationState:
                 # FU2; the least-loaded eligible unit wins, FU1 taking ties.
                 unit = _FU2 if flag or fu_free[_FU1] > fu_free[_FU2] else _FU1
                 issue = fu_free[unit] if fu_free[unit] > earliest else earliest
-                fu_free[unit] = issue + busy
-                fu_record[unit](issue, issue + busy)
+                fu_free[unit] = end = issue + busy
+                fu_starts[unit].append(issue)
+                fu_ends[unit].append(end)
                 dispatch_stalls += issue - dispatch_free
                 dispatch_free = issue + 1
 
@@ -222,31 +231,42 @@ class _SimulationState:
                 vector_compute_cycles += busy
 
             elif kind == KIND_VECTOR_MEMORY:
+                # VL bus cycles on the least-loaded port (the first unit
+                # wins ties); the pipelined port returns a load's last
+                # element ``latency`` cycles after its last bus cycle.
                 vector_instructions += 1
                 length = lengths[index]
-                bus_cycles = vector_bus_cycles(length)
-                issue, _bus_end = occupy_bus(earliest, bus_cycles, length * ELEMENT_SIZE_BYTES)
+                bus_cycles = (length if length > 1 else 1) * bus_cycles_per_element
+                unit = 0 if single_port else port_free.index(min(port_free))
+                issue = port_free[unit] if port_free[unit] > earliest else earliest
+                port_free[unit] = completion = issue + bus_cycles
+                port_starts[unit].append(issue)
+                port_ends[unit].append(completion)
+                traffic += length * ELEMENT_SIZE_BYTES
                 dispatch_stalls += issue - dispatch_free
                 dispatch_free = issue + 1
 
                 if flag:
-                    completion = load_ready(issue, bus_cycles)
-                    chain_start = first_element_arrival(issue) if load_chaining else None
+                    completion += latency
+                    chain_start = issue + latency if load_chaining else None
                     for entry in writes:
                         entry.ready = completion
                         entry.chain_start = chain_start
-                else:
-                    completion = issue + bus_cycles
                 if not vector_memory_cycles:
                     first_seen.append("vector_memory")
                 vector_memory_cycles += bus_cycles
 
             elif kind == KIND_SCALAR_MEMORY:
-                access = scalar_access_at(addresses[index], flag)
-                if access.uses_port:
-                    issue, _bus_end = occupy_bus(
-                        earliest, scalar_bus_cycles, ELEMENT_SIZE_BYTES
-                    )
+                # Loads use the port only on a cache miss, stores also on a
+                # hit when the machine writes through.
+                hit = cache_access(addresses[index])
+                if not hit or (flag and writes_through):
+                    unit = 0 if single_port else port_free.index(min(port_free))
+                    issue = port_free[unit] if port_free[unit] > earliest else earliest
+                    port_free[unit] = end = issue + scalar_bus_cycles
+                    port_starts[unit].append(issue)
+                    port_ends[unit].append(end)
+                    traffic += ELEMENT_SIZE_BYTES
                 else:
                     issue = earliest
                 dispatch_stalls += issue - dispatch_free
@@ -255,7 +275,7 @@ class _SimulationState:
                 if flag:
                     completion = issue + 1
                 else:
-                    completion = scalar_load_ready(access, issue)
+                    completion = issue + hit_latency if hit else issue + 1 + latency
                     for entry in writes:
                         entry.ready = completion
                         entry.chain_start = None
@@ -284,6 +304,7 @@ class _SimulationState:
 
         core.horizon = horizon
         self.dispatch_free = dispatch_free
+        fabric.traffic_bytes += traffic
         stalls = core.stalls
         stalls.stall("dispatch", dispatch_stalls)
         cycles = {

@@ -10,7 +10,7 @@ occupancy histogram, peak and mean.
 
 from hypothesis import given, strategies as st
 
-from repro.common.intervals import IntervalRecorder, state_breakdown
+from repro.common.intervals import IntervalRecorder, idle_cycles, state_breakdown
 from repro.common.timeline import OccupancyTimeline
 
 #: (start, length) pairs; zero lengths exercise the recorders' ignore rule.
@@ -40,6 +40,7 @@ def test_state_breakdown_equals_a_per_cycle_count(resources, total_cycles, split
     breakdown = state_breakdown(recorders, total_cycles)
     assert breakdown.cycles == expected
     assert list(breakdown.cycles) == list(expected)
+    assert idle_cycles(recorders, total_cycles) == expected.get((False,) * len(resources), 0)
     for recorder, spans in zip(recorders, resources):
         horizon = max((start + length for start, length in spans), default=0)
         assert recorder.busy_time() == sum(

@@ -16,11 +16,12 @@ is reached, and fails if any corner is never reached:
 * an indexed (gather/scatter) reference;
 * a scalar store that hits the cache and still writes through to memory.
 
-The counts come from instrumenting the pipeline's forced-drain hook and the
-fabric's scalar accesses, and from the pipeline's counters and port
-recorders.  An AVDQ stall leaves no counter of its own, so each run is
-repeated with an AVDQ too deep to fill: the AP stalled on a full AVDQ
-exactly when the two runs push load data at different cycles.
+The counts come from the counters the tick loop keeps beside its result —
+forced drains per store queue, write-through scalar store hits, bypassed
+loads, disambiguation stalls — and from the port recorders.  An AVDQ stall
+leaves no counter of its own, so each run is repeated with an AVDQ too deep
+to fill: the AP stalled on a full AVDQ exactly when the two runs push load
+data at different cycles.
 """
 
 import json
@@ -31,10 +32,8 @@ import pytest
 
 from repro.core.fuzz import FuzzCase, case_seed, generate_case
 from repro.core.registry import machine_spec
-from repro.dva.address import MemoryPipeline
 from repro.dva.config import DecoupledConfig
 from repro.dva.simulator import _DecoupledState
-from repro.engine.memory import MemoryFabric
 from repro.memory.model import MemoryModel
 from repro.workloads.perfect_club import build_trace
 
@@ -81,50 +80,35 @@ def _decoupled_runs():
 @pytest.fixture(scope="module")
 def corner_counts():
     counts = dict.fromkeys(CORNERS, 0)
-    patch = pytest.MonkeyPatch()
-    make_room = MemoryPipeline._make_room
-    scalar_access_at = MemoryFabric.scalar_access_at
-
-    def counting_make_room(self, queue):
-        before = self.forced_drains
-        make_room(self, queue)
-        if self.forced_drains > before:
-            counts[f"forced drain {queue.name}"] += 1
-
-    def counting_scalar_access_at(self, address, is_store):
-        access = scalar_access_at(self, address, is_store)
-        if is_store and access.hit and access.uses_port:
-            counts["write-through scalar store"] += 1
-        return access
-
-    patch.setattr(MemoryPipeline, "_make_room", counting_make_room)
-    patch.setattr(MemoryFabric, "scalar_access_at", counting_scalar_access_at)
-    try:
-        for trace, latency, config in _decoupled_runs():
-            state = _DecoupledState(MemoryModel(latency=latency), config)
-            state.consume(trace)
-            state.finish(trace)
-            memory = state.memory
-            counts["bypassed load"] += memory.bypassed_loads
-            counts["disambiguation stall"] += memory.disambiguation_stalls
-            recorders = memory.fabric.ports.recorders
-            if len(recorders) > 1:
-                counts["second-port traffic"] += recorders[1].busy_time()
-            infos = trace.columns.instruction_infos()
-            counts["indexed reference"] += sum(
-                1 for table_index in trace.columns.insn
-                if infos[table_index].is_indexed
-            )
-            deep = replace(
-                config, queues=replace(config.queues, vector_load_data=65536)
-            )
-            unbounded = _DecoupledState(MemoryModel(latency=latency), deep)
-            unbounded.consume(trace)
-            if unbounded.memory.avdq.push_times != memory.avdq.push_times:
-                counts["AP stall on full AVDQ"] += 1
-    finally:
-        patch.undo()
+    for trace, latency, config in _decoupled_runs():
+        state = _DecoupledState(MemoryModel(latency=latency), config)
+        state.consume(trace)
+        state.finish(trace)
+        for queue in ("VSAQ", "SSAQ", "VADQ"):
+            counts[f"forced drain {queue}"] += state.forced_drains[queue]
+        counts["write-through scalar store"] += state.write_through_hits
+        counts["bypassed load"] += state.bypassed_loads
+        counts["disambiguation stall"] += state.disambiguation_stalls
+        recorders = state.fabric.ports.recorders
+        if len(recorders) > 1:
+            counts["second-port traffic"] += recorders[1].busy_time()
+        infos = trace.columns.instruction_infos()
+        counts["indexed reference"] += sum(
+            1 for table_index in trace.columns.insn if infos[table_index].is_indexed
+        )
+        deep = replace(config, queues=replace(config.queues, vector_load_data=65536))
+        unbounded = _DecoupledState(MemoryModel(latency=latency), deep)
+        unbounded.consume(trace)
+        if unbounded.avdq.push_times != state.avdq.push_times:
+            counts["AP stall on full AVDQ"] += 1
     return counts
+
+
+def test_loop_counters_stay_out_of_the_payload():
+    case = FuzzCase(**ORACLE["extra"][0]["case"])
+    result, _board, error = case.simulate()
+    assert error is None
+    assert not {"forced_drains", "write_through_hits"} & set(result)
 
 
 @pytest.mark.parametrize("corner", CORNERS)
