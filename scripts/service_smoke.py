@@ -8,14 +8,18 @@ store, then drives the whole service loop with stdlib ``urllib``:
 2. a small cold sweep runs to completion (every cell simulated);
 3. the *identical* sweep re-submitted is answered entirely from the store
    (0 simulated, no batch dispatched) — the warm path, over the wire;
-4. ``GET /v1/stats`` reflects both: store entries plus service counters.
+4. ``GET /v1/stats`` reflects both: store entries plus service counters;
+5. with one keep-alive connection held open, SIGINT (Ctrl-C) stops the
+   server with exit code 0 and no ``Traceback`` in its output.
 
 Exits non-zero (with the failing detail on stderr) on any violation, so a
 CI step is just ``python scripts/service_smoke.py``.
 """
 
+import http.client
 import json
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -108,12 +112,23 @@ def main():
                 "scheduler counters agree: one simulation per cell, warm from store",
                 scheduler,
             )
+
+            # An idle keep-alive client stays connected across the interrupt.
+            idle = http.client.HTTPConnection(match.group(1), int(match.group(2)), timeout=60)
+            idle.request("GET", "/v1/healthz")
+            idle.getresponse().read()
+            server.send_signal(signal.SIGINT)
+            output, _ = server.communicate(timeout=30)
+            idle.close()
+            check(
+                server.returncode == 0 and "shutting down" in output,
+                "SIGINT with a keep-alive client connected exits 0",
+                {"returncode": server.returncode, "output": output},
+            )
+            check("Traceback" not in output, "shutdown prints no traceback", {"output": output})
             print("service smoke: all checks passed")
         finally:
-            server.terminate()
-            try:
-                server.wait(timeout=10)
-            except subprocess.TimeoutExpired:
+            if server.poll() is None:
                 server.kill()
                 server.wait()
 

@@ -21,7 +21,6 @@ from repro.common.intervals import (
     StateBreakdown,
     merge_intervals,
     state_breakdown,
-    total_busy_time,
 )
 from repro.common.stats import Histogram, RunningStats, geometric_mean, weighted_mean
 from repro.common.timeline import OccupancyTimeline, Residency, occupancy_histogram
@@ -43,6 +42,5 @@ __all__ = [
     "merge_intervals",
     "occupancy_histogram",
     "state_breakdown",
-    "total_busy_time",
     "weighted_mean",
 ]

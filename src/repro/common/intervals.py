@@ -96,10 +96,6 @@ class IntervalRecorder:
                 f"resource {self.name!r}: busy interval ends ({end}) before it starts ({start})"
             )
 
-    def record_interval(self, interval: Interval) -> None:
-        """Record an already-constructed :class:`Interval`."""
-        self.record(interval.start, interval.end)
-
     def record_all(self, other: "IntervalRecorder") -> None:
         """Record every interval another recorder holds (e.g. one unit of a pool)."""
         self.starts.extend(other.starts)
@@ -144,18 +140,6 @@ class IntervalRecorder:
     def busy_time(self) -> int:
         """Total number of distinct cycles during which the resource was busy."""
         return _covered_cycles(*self.sorted_bounds())
-
-    def busy_at(self, cycle: int) -> bool:
-        """Return ``True`` when the resource is busy during ``cycle``."""
-        return any(
-            start <= cycle < end for start, end in zip(self.starts, self.ends)
-        )
-
-    def last_end(self) -> int:
-        """Cycle at which the resource last became free (0 when never used)."""
-        if not self.ends:
-            return 0
-        return max(self.ends)
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -221,11 +205,6 @@ def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
         else:
             merged.append(interval)
     return merged
-
-
-def total_busy_time(intervals: Iterable[Interval]) -> int:
-    """Number of distinct cycles covered by a collection of intervals."""
-    return sum(iv.length for iv in merge_intervals(intervals))
 
 
 @dataclass

@@ -41,11 +41,19 @@ class OccupancyTimeline:
 
     __slots__ = ("name", "capacity", "_enters", "_leaves")
 
-    def __init__(self, name: str, capacity: int | None = None) -> None:
+    def __init__(
+        self,
+        name: str,
+        capacity: int | None = None,
+        enters: list[int] | None = None,
+        leaves: list[int] | None = None,
+    ) -> None:
+        """``enters``/``leaves`` seed the timeline with residencies that are
+        already checked (each ``leave > enter``); the lists are taken as-is."""
         self.name = name
         self.capacity = capacity
-        self._enters: list[int] = []
-        self._leaves: list[int] = []
+        self._enters: list[int] = enters if enters is not None else []
+        self._leaves: list[int] = leaves if leaves is not None else []
 
     def record(self, enter: int, leave: int) -> None:
         """Record that one element occupied a slot during ``[enter, leave)``."""

@@ -46,13 +46,27 @@ class TimedQueue:
         return len(self.push_times) - len(self.pop_times)
 
     def occupancy_timeline(self, name: Optional[str] = None, horizon: int = 0) -> OccupancyTimeline:
-        """Residency records of every entry (unreleased entries last to ``horizon``)."""
-        timeline = OccupancyTimeline(name or self.name, capacity=self.capacity)
-        for push_time, pop_time in zip(self.push_times, self.pop_times):
-            timeline.record(push_time, pop_time)
-        for push_time in self.push_times[len(self.pop_times):]:
-            timeline.record(push_time, max(horizon, push_time))
-        return timeline
+        """Residency records of every entry (unreleased entries last to ``horizon``).
+
+        One pass over the timestamp lists: zero-residency entries occupy no
+        cycle and are left out, and an entry released before it was pushed
+        is an error.
+        """
+        enters: List[int] = []
+        leaves: List[int] = []
+        pops = self.pop_times
+        unreleased = [max(horizon, push) for push in self.push_times[len(pops):]]
+        for enter, leave in zip(self.push_times, pops + unreleased):
+            if leave > enter:
+                enters.append(enter)
+                leaves.append(leave)
+            elif leave < enter:
+                raise SimulationError(
+                    f"queue element leaves ({leave}) before it enters ({enter})"
+                )
+        return OccupancyTimeline(
+            name or self.name, capacity=self.capacity, enters=enters, leaves=leaves
+        )
 
     def __len__(self) -> int:
         return len(self.push_times)

@@ -77,12 +77,6 @@ class DecoupledResult:
             return 0.0
         return 1.0 - self.port_busy.busy_time() / self.total_cycles
 
-    @property
-    def port_busy_fraction(self) -> float:
-        if self.total_cycles == 0:
-            return 0.0
-        return self.port_busy.busy_time() / self.total_cycles
-
     # -- queue analysis (Figure 6) -------------------------------------------------------
 
     def _avdq_summary(self) -> OccupancySummary:

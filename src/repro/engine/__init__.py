@@ -10,8 +10,7 @@ kernel:
 * :class:`ResourcePool` — *k* interchangeable units, each a free-time +
   :class:`~repro.common.intervals.IntervalRecorder` pair, which the tick
   loops occupy in place with the seed's least-loaded/first-wins selection
-  rule; :func:`occupancy_cycles` converts vector lengths to busy cycles for
-  multi-lane units.
+  rule.
 * :class:`StallAccountant` — named stall counters and per-category cycles.
 * :class:`MemoryFabric` — the memory-port pool, the scalar cache in front of
   it, and traffic accounting, wired once for both machines.
@@ -35,7 +34,7 @@ over these primitives rather than a new 400-line simulator.
 TIMING_MODEL_VERSION = 2
 
 from repro.engine.memory import MemoryFabric
-from repro.engine.resources import ResourcePool, occupancy_cycles
+from repro.engine.resources import ResourcePool
 from repro.engine.scoreboard import RegisterEntry, Scoreboard
 from repro.engine.stalls import StallAccountant
 from repro.engine.timing import TimingCore
@@ -48,5 +47,4 @@ __all__ = [
     "Scoreboard",
     "StallAccountant",
     "TimingCore",
-    "occupancy_cycles",
 ]

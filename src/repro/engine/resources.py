@@ -18,17 +18,6 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.intervals import IntervalRecorder
 
 
-def occupancy_cycles(elements: int, lanes: int = 1) -> int:
-    """Cycles a ``lanes``-wide unit needs to process ``elements`` elements.
-
-    A zero-element request still costs one cycle (issuing it), matching the
-    single-lane seed behaviour of ``max(elements, 1)``.
-    """
-    if lanes <= 0:
-        raise ConfigurationError("a vector unit needs at least one lane")
-    return max(-(-max(elements, 1) // lanes), 1)
-
-
 class ResourcePool:
     """A named group of interchangeable units with per-unit free times.
 

@@ -45,15 +45,6 @@ class TimingCore:
         self.pools[name] = pool
         return pool
 
-    def pool(self, name: str) -> ResourcePool:
-        try:
-            return self.pools[name]
-        except KeyError as exc:
-            known = ", ".join(sorted(self.pools))
-            raise ConfigurationError(
-                f"unknown resource pool {name!r} (known: {known})"
-            ) from exc
-
     # -- completion horizon ------------------------------------------------------------
 
     def finish_time(self, *pointers: int) -> int:

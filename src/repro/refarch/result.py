@@ -67,12 +67,6 @@ class ReferenceResult:
         return self.port_idle_cycles / self.total_cycles
 
     @property
-    def port_busy_fraction(self) -> float:
-        if self.total_cycles == 0:
-            return 0.0
-        return self.port_busy.busy_time() / self.total_cycles
-
-    @property
     def peak_state_cycles(self) -> int:
         """Cycles with both functional units busy (the paper's peak FP states)."""
         breakdown = self.state_breakdown()

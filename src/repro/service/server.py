@@ -5,9 +5,9 @@ long-running system.  Many concurrent clients submit runs and sweeps; the
 service answers warm cells straight from the
 :class:`~repro.store.ResultStore` in microseconds, deduplicates identical
 in-flight cells across clients (single-flight, see
-:class:`~repro.service.scheduler.CellScheduler`), batches cold cells onto
-the multiprocessing runner, and streams per-cell progress as server-sent
-events.
+:class:`~repro.service.scheduler.CellScheduler`), dispatches cold cells to
+the runner on the next event-loop iteration, batched per program, and
+streams per-cell progress as server-sent events.
 
 The JSON API (all under ``/v1``):
 
@@ -28,6 +28,10 @@ Sweeps execute as *background tasks*: submission validates the whole grid
 then every cell is fanned out to the scheduler concurrently.  Clients watch
 via polling or the event stream; a client disconnecting mid-stream
 disconnects the *stream*, never the sweep.
+
+Ctrl-C stops the server, then :meth:`ReproService.aclose` closes every open
+connection (idle keep-alive ones included) before the event loop shuts
+down, so the service exits 0 with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -168,24 +172,23 @@ class ReproService:
             answering from it is the point — so unlike CLI sweeps there is
             no store-less mode.
         jobs: worker ceiling for cold-cell simulation.
-        batch_window: see :class:`~repro.service.scheduler.CellScheduler`.
     """
 
     def __init__(
         self,
         store: Union[ResultStore, str, Path, None] = None,
         jobs: int = 1,
-        batch_window: float = 0.010,
     ) -> None:
         if not isinstance(store, ResultStore):
             store = ResultStore(store)
         self.store = store
-        self.scheduler = CellScheduler(store=store, jobs=jobs, batch_window=batch_window)
+        self.scheduler = CellScheduler(store=store, jobs=jobs)
         self.jobs = jobs
         self.sweeps: Dict[str, SweepJob] = {}
         self.started_unix = time.time()
         self.requests_served = 0
         self._ids = itertools.count(1)
+        self._connections: "set[asyncio.Task]" = set()
         self.router = Router()
         self.router.add("GET", "/v1/healthz", self._handle_healthz)
         self.router.add("GET", "/v1/stats", self._handle_stats)
@@ -334,7 +337,19 @@ class ReproService:
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        await serve_connection(reader, writer, self.router, on_request=self._count_request)
+        task = asyncio.current_task()
+        self._connections.add(task)
+        try:
+            await serve_connection(reader, writer, self.router, on_request=self._count_request)
+        except asyncio.CancelledError:
+            # aclose() deregisters a connection before cancelling it, and
+            # that cancellation ends the connection quietly (on Python 3.11
+            # a cancelled connection task makes asyncio print a traceback).
+            # A connection still registered was cancelled by someone else.
+            if task in self._connections:
+                raise
+        finally:
+            self._connections.discard(task)
 
     def _count_request(self, request: Request) -> None:
         self.requests_served += 1
@@ -348,7 +363,16 @@ class ReproService:
         return await asyncio.start_server(self._on_connection, host=host, port=port)
 
     async def aclose(self) -> None:
-        """Cancel running sweeps and release the scheduler's pools."""
+        """Close open connections, cancel running sweeps, release the pools.
+
+        Call it after the server stops accepting: idle keep-alive
+        connections are closed here, not left for the event loop's
+        shutdown to cancel.
+        """
+        connections, self._connections = self._connections, set()
+        for task in connections:
+            task.cancel()
+        await asyncio.gather(*connections, return_exceptions=True)
         for job in list(self.sweeps.values()):
             if job.task is not None and not job.task.done():
                 job.task.cancel()
@@ -382,8 +406,8 @@ def serve(
             await server.serve_forever()
         finally:
             server.close()
-            await server.wait_closed()
             await service.aclose()
+            await server.wait_closed()
 
     try:
         asyncio.run(_main())

@@ -6,14 +6,17 @@ A :class:`ResultStore` maps the cache key of a sweep cell (see
 files under a versioned directory tree::
 
     <root>/v1/objects/<key[:2]>/<key>.json    one file per result
-    <root>/v1/index.json                      rebuildable summary index
+    <root>/v1/index.jsonl                     append-only summary index
 
 ``<root>`` defaults to ``~/.cache/repro`` (respecting ``XDG_CACHE_HOME``)
 and is overridable with the ``REPRO_CACHE_DIR`` environment variable or the
 CLI's ``--store-dir``.  Every object file is self-describing — it carries
 the store format version, its own key and a small metadata block — so the
 index is pure convenience: it can always be rebuilt by scanning the object
-tree, and :meth:`ResultStore.write_index` does exactly that.
+tree, and :meth:`ResultStore.write_index` does exactly that.  The index is
+JSON lines, one compact record per written cell; :meth:`ResultStore.read_index`
+folds it (the last record for a key wins).  An ``index.json`` left by older
+versions is ignored.
 
 Writes are atomic (temp file + ``os.replace`` in the same directory), so a
 killed sweep never leaves a torn entry, and concurrent pool workers writing
@@ -22,15 +25,15 @@ unreadable — missing, torn by an unrelated tool, or written by a different
 format version — as a miss, which the next write repairs.
 
 The advisory index is the one file several writers *merge into* rather than
-replace wholesale, so its read-modify-write cycle is serialized by a
-cooperative lockfile (``index.lock``, created with ``O_CREAT | O_EXCL``):
-without it, two concurrent sweeps — service requests, parallel CI jobs, or
-two hosts sharing the store directory — could each read the same index,
-merge their own cells, and have the second ``os.replace`` silently drop the
-first writer's entries.  The lock is advisory like the index itself: a
-writer that cannot acquire it within :attr:`ResultStore.index_lock_timeout`
-skips the merge (objects are already on disk; the next full rebuild picks
-them up), and a lockfile older than
+replace wholesale.  A merge appends its records with one ``write`` — no
+rewrite, and no read beyond the file's last byte, so it costs O(cells
+written) whatever the store's size — under a cooperative lockfile (``index.lock``, created with
+``O_CREAT | O_EXCL``): concurrent sweeps — service requests, parallel CI
+jobs, or two hosts sharing the store directory — take turns, and no append
+can land on a file a concurrent full rebuild is about to replace.  The lock
+is advisory like the index itself: a writer that cannot acquire it within
+:attr:`ResultStore.index_lock_timeout` skips the merge (objects are already
+on disk; the next full rebuild picks them up), and a lockfile older than
 :attr:`ResultStore.index_lock_stale_after` is broken, so a killed process
 can never wedge the store.
 
@@ -78,6 +81,22 @@ def default_store_root() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
+def _write_atomically(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and ``os.replace``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 @dataclass(frozen=True)
 class StoreEntry:
     """One persisted result, as listed by :meth:`ResultStore.entries`.
@@ -99,6 +118,20 @@ class StoreEntry:
     scale: float
     size_bytes: int
     mtime: float
+
+
+def _index_line(entry: StoreEntry) -> str:
+    """One compact ``index.jsonl`` record, newline included."""
+    record = {
+        "key": entry.key,
+        "program": entry.program,
+        "architecture": entry.architecture,
+        "latency": entry.latency,
+        "scale": entry.scale,
+        "bytes": entry.size_bytes,
+        "mtime": round(entry.mtime, 3),
+    }
+    return json.dumps(record, separators=(",", ":")) + "\n"
 
 
 class ResultStore:
@@ -156,7 +189,7 @@ class ResultStore:
 
     @property
     def index_path(self) -> Path:
-        return self.version_dir / "index.json"
+        return self.version_dir / "index.jsonl"
 
     @property
     def index_lock_path(self) -> Path:
@@ -216,18 +249,8 @@ class ResultStore:
             },
             "result": replace(result, cached=False, store_key=key).to_json(),
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        # One-shot encoding: json.dump's chunked encoder is pure Python.
+        _write_atomically(path, json.dumps(payload, separators=(",", ":")))
         self.writes += 1
 
     def __contains__(self, key: str) -> bool:
@@ -333,119 +356,103 @@ class ResultStore:
         return sum(1 for _ in self._object_files())
 
     def write_index(self, entries: Optional[List[StoreEntry]] = None) -> Path:
-        """Rebuild ``index.json`` from the object tree and write it atomically.
+        """Rebuild the index from the object tree: one line per key, replaced atomically.
 
-        The index is a human/tooling convenience (``repro cache stats`` reads
-        it back); correctness never depends on it being fresh.  Callers that
-        just scanned may pass their ``entries`` to avoid a second walk.
+        The index is a human/tooling convenience; correctness never depends
+        on it being fresh.  Callers that just scanned may pass their
+        ``entries`` to avoid a second walk.
 
         The write itself takes the index lock so it cannot interleave with a
-        concurrent :meth:`update_index` merge, but a full rebuild is an
+        concurrent :meth:`update_index` append, but a full rebuild is an
         explicit maintenance operation and proceeds even when the lock
         cannot be acquired — it is authoritative for what the scan saw.
         """
         if entries is None:
             entries = self.entries()
-        payload = {
-            entry.key: {
-                "program": entry.program,
-                "architecture": entry.architecture,
-                "latency": entry.latency,
-                "scale": entry.scale,
-                "bytes": entry.size_bytes,
-                "mtime": round(entry.mtime, 3),
-            }
-            for entry in entries
-        }
+        text = "".join(map(_index_line, entries))
         with self._index_lock():
-            return self._write_index_payload(payload)
-
-    def _write_index_payload(self, entries: Dict[str, Dict[str, object]]) -> Path:
-        payload = {
-            "format": STORE_FORMAT_VERSION,
-            "updated_unix": round(time.time(), 3),
-            "entry_count": len(entries),
-            "total_bytes": sum(int(entry.get("bytes", 0)) for entry in entries.values()),  # type: ignore[arg-type]
-            "entries": entries,
-        }
-        self.version_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=self.version_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, indent=2)
-            os.replace(tmp_name, self.index_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+            _write_atomically(self.index_path, text)
         return self.index_path
+
+    def read_index(self) -> Dict[str, Dict[str, object]]:
+        """The index folded to one record per key (the last line for a key wins).
+
+        Records map ``program``, ``architecture``, ``latency``, ``scale``,
+        ``bytes`` and ``mtime``.  Torn lines (a writer killed mid-append)
+        and foreign ones are skipped; a missing index reads as empty.
+        """
+        try:
+            data = self.index_path.read_bytes()
+        except OSError:
+            return {}
+        records: Dict[str, Dict[str, object]] = {}
+        for line in data.splitlines():
+            try:
+                record = json.loads(line)
+                key = record.pop("key")
+            except (ValueError, TypeError, AttributeError, KeyError):
+                continue
+            if isinstance(key, str):
+                records[key] = record
+        return records
 
     def update_index(
         self, written: Sequence[Tuple[str, RunResult]], scale: float = 1.0
     ) -> bool:
-        """Merge just-written entries into ``index.json`` without a full scan.
+        """Append one index line per just-written entry.
 
-        The sweep runner calls this once per sweep with the cells it wrote:
-        cost is O(cells written), not O(store size), so a small incremental
-        sweep against a large long-lived store stays cheap.  The existing
-        index is taken as-is (an unreadable or foreign one is discarded and
-        the merge starts from this sweep's entries); entries for keys some
-        other process evicted meanwhile linger until the next full rebuild —
-        the index is advisory, and ``cache stats``/``gc`` rebuild it exactly.
+        The sweep runner calls this once per sweep (the service once per
+        batch) with the cells it wrote.  The merge rewrites nothing and
+        reads back only the index's last byte: it stats each written object
+        and appends all the lines with one ``write``, so its cost is
+        O(cells written), not O(store size).  A key written again gets a second line, which
+        :meth:`read_index` folds; lines for keys some other process evicted
+        meanwhile linger until the next full rebuild — the index is
+        advisory, and ``cache stats``/``gc`` rebuild it exactly.
 
-        The whole read-merge-write cycle holds the index lock, so concurrent
-        mergers (service requests, parallel sweeps, other hosts on a shared
-        store) serialize instead of overwriting each other's entries.  When
-        the lock cannot be acquired within :attr:`index_lock_timeout` the
-        merge is *skipped* — never half-done — and ``False`` is returned;
-        the objects themselves are already on disk and the next merge or
-        full rebuild indexes them.
+        The append holds the index lock, so concurrent mergers (service
+        requests, parallel sweeps, other hosts on a shared store) take turns
+        with each other and with full rebuilds.  When the lock cannot be
+        acquired within :attr:`index_lock_timeout` the merge is *skipped* —
+        nothing is written — and ``False`` is returned; the objects
+        themselves are already on disk and the next full rebuild indexes
+        them.
         """
-        if not written:
+        lines = []
+        for key, result in written:
+            try:
+                stat = self.object_path(key).stat()
+            except OSError:
+                continue
+            entry = StoreEntry(
+                key, result.program, result.architecture, result.latency,
+                float(scale), stat.st_size, stat.st_mtime,
+            )
+            lines.append(_index_line(entry))
+        if not lines:
             return True
         with self._index_lock() as acquired:
             if not acquired:
                 self.index_merges_skipped += 1
                 return False
+            fd = os.open(self.index_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
             try:
-                with self.index_path.open() as handle:
-                    payload = json.load(handle)
-                entries = (
-                    payload["entries"]
-                    if payload.get("format") == STORE_FORMAT_VERSION
-                    else {}
-                )
-                if not isinstance(entries, dict):
-                    entries = {}
-            except (OSError, ValueError, KeyError):
-                entries = {}
-            changed = False
-            for key, result in written:
-                try:
-                    stat = self.object_path(key).stat()
-                except OSError:
-                    continue
-                entries[key] = {
-                    "program": result.program,
-                    "architecture": result.architecture,
-                    "latency": result.latency,
-                    "scale": float(scale),
-                    "bytes": stat.st_size,
-                    "mtime": round(stat.st_mtime, 3),
-                }
-                changed = True
-            if changed:
-                self._write_index_payload(entries)
-                self.index_merges += 1
+                # A writer killed mid-append leaves a line without its
+                # newline; the file's last byte says whether to end it first.
+                size = os.fstat(fd).st_size
+                if size and os.pread(fd, 1, size - 1) != b"\n":
+                    lines.insert(0, "\n")
+                os.write(fd, "".join(lines).encode())
+            finally:
+                os.close(fd)
+            self.index_merges += 1
         return True
 
     def stats(self, refresh_index: bool = False) -> Dict[str, object]:
         """Aggregate numbers for ``repro cache stats`` (always a fresh scan).
 
-        With ``refresh_index=True`` the same scan is also written out as
-        ``index.json`` — including when the scan came back empty, so an
+        With ``refresh_index=True`` the same scan is also written out as the
+        index — including when the scan came back empty, so an
         index left behind by a since-evicted tree never goes stale.  A store
         that does not exist on disk at all is left untouched.
         """
@@ -588,8 +595,9 @@ class ResultStore:
     def clear(self) -> int:
         """Delete every entry (all format versions); returns entries removed.
 
-        The count covers stale-version trees too — anything that is not an
-        index file — so it matches what actually left the disk.
+        The count covers stale-version trees too — every ``*.json`` file but
+        a legacy ``index.json`` (``index.jsonl`` never matches) — so it
+        matches the entries that actually left the disk.
         """
         removed = 0
         for version_dir in sorted(self.root.glob("v*")):

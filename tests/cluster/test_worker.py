@@ -91,8 +91,7 @@ class TestDraining:
         ClusterWorker(store, worker_id="w1", lease_seconds=5.0).run_sweep(
             prepared.sweep_id
         )
-        index = json.loads(store.index_path.read_text())
-        index_keys = set(index.get("entries", index))
+        index_keys = set(store.read_index())
         assert {cell.key for cell in prepared.manifest.cells} <= index_keys
 
 

@@ -9,7 +9,6 @@ from repro.common.intervals import (
     IntervalRecorder,
     merge_intervals,
     state_breakdown,
-    total_busy_time,
 )
 
 
@@ -51,9 +50,6 @@ class TestMergeIntervals:
         merged = merge_intervals([Interval(0, 10), Interval(2, 3)])
         assert merged == [Interval(0, 10)]
 
-    def test_total_busy_time_ignores_double_counting(self):
-        assert total_busy_time([Interval(0, 5), Interval(3, 8)]) == 8
-
     @given(
         st.lists(
             st.tuples(st.integers(0, 500), st.integers(0, 100)).map(
@@ -75,7 +71,7 @@ class TestMergeIntervals:
         for interval in intervals:
             original.update(range(interval.start, interval.end))
         assert covered == original
-        assert total_busy_time(intervals) == len(original)
+        assert sum(interval.length for interval in merged) == len(original)
 
 
 class TestIntervalRecorder:
@@ -94,21 +90,6 @@ class TestIntervalRecorder:
         recorder = IntervalRecorder("fu1")
         with pytest.raises(SimulationError):
             recorder.record(10, 2)
-
-    def test_busy_at(self):
-        recorder = IntervalRecorder("ld")
-        recorder.record(5, 8)
-        assert recorder.busy_at(5)
-        assert recorder.busy_at(7)
-        assert not recorder.busy_at(8)
-        assert not recorder.busy_at(0)
-
-    def test_last_end(self):
-        recorder = IntervalRecorder("ld")
-        assert recorder.last_end() == 0
-        recorder.record(5, 8)
-        recorder.record(1, 3)
-        assert recorder.last_end() == 8
 
 
 class TestStateBreakdown:

@@ -1,9 +1,9 @@
-"""Unit tests for ResourcePool, its rules in the tick loops and lane-occupancy arithmetic."""
+"""Unit tests for ResourcePool and its rules in the tick loops."""
 
 import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.engine import ResourcePool, occupancy_cycles
+from repro.engine import ResourcePool
 from repro.isa.builder import InstructionBuilder
 from repro.isa.opcodes import Opcode
 from repro.isa.program import BasicBlock
@@ -13,24 +13,6 @@ from repro.refarch.config import ReferenceConfig
 from repro.refarch.simulator import _SimulationState
 from repro.trace.generator import TraceBuilder
 from repro.workloads.perfect_club import load_program
-
-
-class TestOccupancyCycles:
-    def test_single_lane_is_identity(self):
-        assert occupancy_cycles(64) == 64
-
-    def test_zero_elements_still_cost_one_cycle(self):
-        assert occupancy_cycles(0) == 1
-        assert occupancy_cycles(0, lanes=4) == 1
-
-    def test_lanes_divide_rounding_up(self):
-        assert occupancy_cycles(64, lanes=2) == 32
-        assert occupancy_cycles(65, lanes=2) == 33
-        assert occupancy_cycles(3, lanes=8) == 1
-
-    def test_invalid_lane_count_rejected(self):
-        with pytest.raises(ConfigurationError):
-            occupancy_cycles(8, lanes=0)
 
 
 class TestConstruction:

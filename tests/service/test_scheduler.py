@@ -77,7 +77,7 @@ def store(tmp_path):
 
 def make_scheduler(store=None, **runner_kwargs):
     runner = CountingRunner(store=store, **runner_kwargs)
-    return CellScheduler(store=store, batch_window=0.001, runner=runner), runner
+    return CellScheduler(store=store, runner=runner), runner
 
 
 DVA = resolve_architecture("dva")
@@ -187,14 +187,28 @@ class TestStoreFastPath:
 
         asyncio.run(main())
         key = cell_key("TRFD", 1.0, 50, DVA, RunConfig())
-        import json
-
-        index = json.loads(store.index_path.read_text())
-        assert key in index["entries"]
+        assert key in store.read_index()
 
 
 class TestBatching:
-    def test_cells_arriving_in_one_window_coalesce_per_program(self, store):
+    def test_a_lone_cold_cell_dispatches_on_the_next_loop_iteration(self, store):
+        async def main():
+            scheduler, _runner = make_scheduler(store)
+            try:
+                waiter = asyncio.ensure_future(scheduler.run_cell("TRFD", 1, DVA))
+                # run_cell queues the cell, the flush groups it, the batch
+                # task starts: three iterations, no timer.
+                for _ in range(3):
+                    await asyncio.sleep(0)
+                dispatched = scheduler.batches_dispatched
+                await waiter
+                return dispatched
+            finally:
+                scheduler.close()
+
+        assert asyncio.run(main()) == 1
+
+    def test_cells_arriving_in_one_loop_iteration_coalesce_per_program(self, store):
         async def main():
             scheduler, runner = make_scheduler(store, delay=0.005)
             try:

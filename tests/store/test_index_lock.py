@@ -5,7 +5,6 @@ concurrent ``update_index`` callers could each read the same index
 snapshot, merge their own keys, and overwrite each other's entries.
 """
 
-import json
 import os
 import threading
 import time
@@ -34,7 +33,7 @@ def store(tmp_path):
 
 
 def indexed_keys(store):
-    return set(json.loads(store.index_path.read_text())["entries"])
+    return set(store.read_index())
 
 
 class TestConcurrentMerges:
@@ -111,6 +110,20 @@ class TestLockEdgeCases:
         assert not store.index_path.exists()  # skipped, never half-written
         assert store.stats()["process_counters"]["index_merges_skipped"] == 1
 
+    def test_a_skipped_merge_leaves_an_existing_index_byte_identical(self, store):
+        for number, key in enumerate(KEYS[:2]):
+            store.put(key, make_result(number))
+        store.update_index([(KEYS[0], make_result(0))])
+        before = store.index_path.read_bytes()
+        store.index_lock_timeout = 0.05
+        store.index_lock_path.write_text("held elsewhere")
+        try:
+            assert store.update_index([(KEYS[1], make_result(1))]) is False
+        finally:
+            store.index_lock_path.unlink()
+        assert store.index_path.read_bytes() == before
+        assert indexed_keys(store) == {KEYS[0]}
+
     def test_stale_lock_is_broken_and_the_merge_proceeds(self, store):
         store.put(KEYS[0], make_result(0))
         store.version_dir.mkdir(parents=True, exist_ok=True)
@@ -121,11 +134,9 @@ class TestLockEdgeCases:
         assert indexed_keys(store) == {KEYS[0]}
         assert not store.index_lock_path.exists()  # released after the merge
 
-    def test_lock_is_released_even_when_the_merge_raises(self, store, monkeypatch):
+    def test_lock_is_released_even_when_the_merge_raises(self, store):
         store.put(KEYS[0], make_result(0))
-        monkeypatch.setattr(
-            store, "_write_index_payload", lambda entries: (_ for _ in ()).throw(OSError("disk"))
-        )
+        store.index_path.mkdir()  # the append cannot open its file
         with pytest.raises(OSError):
             store.update_index([(KEYS[0], make_result(0))])
         assert not store.index_lock_path.exists()

@@ -1,7 +1,9 @@
 """Unit tests for the on-disk ResultStore: round trips, index, gc, clear."""
 
+import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,20 @@ class TestRoundTrip:
         assert loaded.store_key == KEY
         assert ref_result.cached is False
         assert store.hits == 1 and store.writes == 1
+
+    def test_object_bytes_are_those_of_the_chunked_encoder(self, store):
+        # put encodes in one shot; for a golden DVA cell the file must hold
+        # exactly the bytes json.dump wrote before.
+        golden_path = Path(__file__).parents[1] / "golden" / "golden_cycles.json"
+        golden = json.loads(golden_path.read_text())["cells"]["TRFD/50/dva"]
+        result = architecture("dva").simulate(build_trace("TRFD"), RunConfig(latency=50))
+        assert result.total_cycles == golden["total_cycles"]
+        store.put(KEY, result)
+        written = store.object_path(KEY).read_bytes()
+        chunked = io.StringIO()
+        json.dump(json.loads(written), chunked, separators=(",", ":"))
+        assert written == chunked.getvalue().encode()
+        assert store.get(KEY) == result
 
     def test_get_missing_key_is_a_miss(self, store):
         assert store.get(KEY) is None
@@ -87,14 +103,16 @@ class TestIndexAndStats:
     def test_write_index_summarizes_the_object_tree(self, store, ref_result):
         store.put(KEY, ref_result, scale=0.2)
         path = store.write_index()
-        index = json.loads(path.read_text())
-        assert index["format"] == STORE_FORMAT_VERSION
-        assert index["entry_count"] == 1
-        entry = index["entries"][KEY]
+        assert path == store.index_path
+        assert path.parent.name == f"v{STORE_FORMAT_VERSION}"
+        index = store.read_index()
+        assert len(index) == 1
+        entry = index[KEY]
         assert entry["program"] == "TRFD"
         assert entry["architecture"] == "ref"
         assert entry["latency"] == 50
-        assert index["total_bytes"] == store.object_path(KEY).stat().st_size
+        assert entry["scale"] == 0.2
+        assert entry["bytes"] == store.object_path(KEY).stat().st_size
 
     def test_update_index_merges_without_a_full_rebuild(self, store, ref_result):
         other = "cd" * 32
@@ -102,18 +120,17 @@ class TestIndexAndStats:
         store.write_index()
         store.put(other, ref_result, scale=0.2)
         store.update_index([(other, ref_result)], scale=0.2)
-        index = json.loads(store.index_path.read_text())
-        assert set(index["entries"]) == {KEY, other}
-        assert index["entry_count"] == 2
-        assert index["entries"][other]["program"] == "TRFD"
+        index = store.read_index()
+        assert set(index) == {KEY, other}
+        assert len(index) == 2
+        assert index[other]["program"] == "TRFD"
 
     def test_update_index_survives_a_corrupt_index(self, store, ref_result):
         store.put(KEY, ref_result)
         store.version_dir.mkdir(parents=True, exist_ok=True)
         store.index_path.write_text("{ torn")
         store.update_index([(KEY, ref_result)])
-        index = json.loads(store.index_path.read_text())
-        assert set(index["entries"]) == {KEY}
+        assert set(store.read_index()) == {KEY}
 
     def test_stats_aggregates_by_architecture(self, store, ref_result):
         store.put(KEY, ref_result)
@@ -129,8 +146,7 @@ class TestIndexAndStats:
         store.object_path(KEY).unlink()  # evicted behind the index's back
         stats = store.stats(refresh_index=True)
         assert stats["entry_count"] == 0
-        index = json.loads(store.index_path.read_text())
-        assert index["entry_count"] == 0 and index["entries"] == {}
+        assert store.index_path.exists() and store.read_index() == {}
 
     def test_stats_refresh_leaves_a_nonexistent_store_untouched(self, tmp_path):
         store = ResultStore(tmp_path / "never")
